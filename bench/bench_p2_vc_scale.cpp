@@ -13,17 +13,32 @@
 //   * bytes/VC — steady-state footprint of the per-VC state (index +
 //     pooled records), from Switch::vc_state_bytes().
 //
+// A second table opens VCs end to end on a core::Testbed station, with
+// telemetry registered as Testbed always does, and reports:
+//
+//   * µs per Nic::open_vc — constant in N when opening a VC does no
+//     registry work (per-VC counters live in the VC's own state);
+//   * bytes/VC — heap growth across the opens, telemetry included
+//     (RX reassembly state, VC index, per-VC counters).
+//
 // The exit code enforces the acceptance criteria, so CI can run the
 // smoke rows as a regression gate:
 //   * the largest row's events/s must stay within 20% of the smallest's
 //     (lookup cost flat in N), and
-//   * every row must stay under 128 bytes/VC.
+//   * every row must stay under 128 bytes/VC;
+//   * the Testbed row must add no registry entry per VC and render
+//     every opened VC's rows in the snapshot.
+// bench_compare gates µs per open_vc and the Testbed bytes/VC.
 //
-//   bench_p2_vc_scale                 full sweep (2k -> 1M VCs)
-//   bench_p2_vc_scale --smoke         2k + 16k rows (CI-sized)
+//   bench_p2_vc_scale                 full sweep (2k -> 1M VCs; Testbed
+//                                     row at 65536 VCs)
+//   bench_p2_vc_scale --smoke         2k + 16k rows, Testbed row at 4096
+//                                     VCs (CI-sized)
 //   bench_p2_vc_scale [--smoke] --json OUT.json
 //                                     also write google-benchmark-style
 //                                     JSON for scripts/bench_compare.py
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -36,6 +51,7 @@
 
 #include "bench_util.hpp"
 #include "core/report.hpp"
+#include "core/testbed.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
 
@@ -156,6 +172,51 @@ Result run(std::size_t vcs, std::size_t cells_per_port) {
   return r;
 }
 
+// --- Testbed row: opening VCs end to end ------------------------------
+
+struct OpenResult {
+  std::size_t vcs = 0;
+  double us_per_open = 0;
+  double bytes_per_vc = 0;
+  bool entries_flat = false;  // registry size unchanged by the opens
+  bool rows_ok = false;       // every opened VC renders its RX rows
+};
+
+/// Bytes the allocator has handed out and not taken back.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+OpenResult run_testbed(std::size_t vcs) {
+  core::Testbed bed;
+  core::Station& st = bed.add_station({});
+  const std::size_t entries = bed.metrics().size();
+  const std::size_t heap0 = heap_in_use();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < vcs; ++i) {
+    st.nic().open_vc(atm::VcId{static_cast<std::uint16_t>(i / 4096),
+                               static_cast<std::uint16_t>(32 + i % 4096)},
+                     aal::AalType::kAal5);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const std::size_t heap1 = heap_in_use();
+
+  OpenResult r;
+  r.vcs = vcs;
+  r.us_per_open = std::chrono::duration<double, std::micro>(t1 - t0).count() /
+                  static_cast<double>(vcs);
+  r.bytes_per_vc = static_cast<double>(heap1 - heap0) /
+                   static_cast<double>(vcs);
+  r.entries_flat = bed.metrics().size() == entries;
+  std::size_t rx_rows = 0;
+  for (const auto& m : bed.metrics().snapshot()) {
+    if (m.name.find(".nic.rx.vc.") != std::string::npos) ++rx_rows;
+  }
+  r.rows_ok = rx_rows == 3 * vcs;  // cells, cells_efci_marked, pdus
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -170,12 +231,15 @@ int main(int argc, char** argv) {
   // row runs a few hundred ms even at full kernel speed.
   std::vector<std::size_t> rows;
   std::size_t cells_per_port;
+  std::size_t testbed_vcs;
   if (smoke) {
     rows = {2048, 16384};
     cells_per_port = 500000;
+    testbed_vcs = 4096;
   } else {
     rows = {2048, 16384, 131072, 1048576};
     cells_per_port = 1000000;
+    testbed_vcs = 65536;
   }
 
   // Best of several repetitions per row: on a shared machine noise only
@@ -195,6 +259,14 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // The Testbed row takes milliseconds, so it gets more repetitions:
+  // its best of 32 is what the gate compares.
+  constexpr int kOpenReps = 32;
+  OpenResult opened;
+  for (int rep = 0; rep < kOpenReps; ++rep) {
+    const OpenResult o = run_testbed(testbed_vcs);
+    if (rep == 0 || o.us_per_open < opened.us_per_open) opened = o;
+  }
 
   core::Table t({"VCs", "setup s", "wall s", "events", "events/s (M)",
                  "cells", "bytes/VC", "books"});
@@ -209,12 +281,26 @@ int main(int argc, char** argv) {
   t.print("P2: data-plane cost vs connection count (events/s is "
           "wall-clock)");
 
+  core::Table tb({"VCs", "us/open_vc", "bytes/VC", "registry entries",
+                  "rows"});
+  tb.add_row({core::Table::integer(opened.vcs),
+              core::Table::num(opened.us_per_open, 3),
+              core::Table::num(opened.bytes_per_vc, 1),
+              opened.entries_flat ? "flat" : "GREW",
+              opened.rows_ok ? "ok" : "FAIL"});
+  tb.print("P2: Nic::open_vc on a Testbed station, telemetry on (bytes/VC "
+           "is heap growth)");
+
   hni::bench::JsonEmitter json("bench_p2_vc_scale");
   for (const Result& r : results) {
     json.rate("p2_vc_scale/" + std::to_string(r.vcs), r.events_per_s);
     json.cost("p2_vc_scale/" + std::to_string(r.vcs) + "/bytes_per_vc",
               r.bytes_per_vc);
   }
+  const std::string tb_row = "p2_vc_scale/testbed/" +
+                             std::to_string(opened.vcs);
+  json.cost(tb_row + "/open_vc_us", opened.us_per_open);
+  json.cost(tb_row + "/bytes_per_vc", opened.bytes_per_vc);
   json.write_or_die(cli.json);
 
   // Acceptance: flat lookup cost and bounded footprint, enforced so a
@@ -231,6 +317,13 @@ int main(int argc, char** argv) {
                    r.vcs, r.bytes_per_vc, kMaxBytesPerVc);
       ok = false;
     }
+  }
+  if (!opened.entries_flat || !opened.rows_ok) {
+    std::fprintf(stderr,
+                 "P2: FAIL Testbed row: registry %s, per-VC rows %s\n",
+                 opened.entries_flat ? "flat" : "grew with VCs",
+                 opened.rows_ok ? "ok" : "missing");
+    ok = false;
   }
   const double small = results.front().events_per_s;
   const double large = results.back().events_per_s;

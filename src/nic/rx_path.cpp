@@ -62,21 +62,9 @@ void RxPath::open_vc(atm::VcId vc, aal::AalType aal) {
   state.reasm = std::make_unique<aal::FrameReassembler>(
       aal, aal::FrameReassembler::Config(config_.max_sdu));
   vcs_.insert(vc, std::move(state));
-  if (auto found = vcs_.find(vc); found.state != nullptr) {
-    attach_vc_metrics(vc, *found.state);
-  }
-}
-
-void RxPath::attach_vc_metrics(atm::VcId vc, VcState& vs) {
-  if (!metrics_) return;
-  const sim::MetricScope scope = metrics_->vc(vc.vpi, vc.vci);
-  vs.m_cells = &scope.counter("cells");
-  vs.m_pdus = &scope.counter("pdus");
-  vs.m_efci = &scope.counter("cells_efci_marked");
 }
 
 void RxPath::register_metrics(const sim::MetricScope& scope) {
-  metrics_ = scope;
   scope.expose("cells_received", cells_in_);
   scope.expose("cells_hec_discarded", hec_discard_);
   scope.expose("cells_hec_corrected", hec_corrected_);
@@ -104,8 +92,13 @@ void RxPath::register_metrics(const sim::MetricScope& scope) {
   engine_.register_metrics(scope.sub("engine"));
   fifo_.register_metrics(scope.sub("fifo"));
   dma_.register_metrics(scope.sub("dma"));
-  vcs_.for_each([this](atm::VcId vc, VcState& vs) {
-    attach_vc_metrics(vc, vs);
+  scope.vc_family([this](sim::VcRowWriter& rows) {
+    vcs_.for_each([&rows](atm::VcId vc, const VcState& vs) {
+      rows.begin(vc.vpi, vc.vci);
+      rows.counter("cells", vs.m_cells);
+      rows.counter("cells_efci_marked", vs.m_efci);
+      rows.counter("pdus", vs.m_pdus);
+    });
   });
 }
 
@@ -277,13 +270,13 @@ void RxPath::sweep_stale_pdus() {
 void RxPath::process_cell(atm::Cell cell, VcState& state) {
   const atm::VcId vc = cell.header.vc;
   state.last_activity = sim_.now();
-  if (state.m_cells) state.m_cells->add();
+  state.m_cells.add();
 
   // EFCI: a congested queue upstream marked this cell. Count it and
   // tell the congestion controller before reassembly touches the cell.
   if (atm::pti_efci(cell.header.pti)) {
     efci_marked_.add();
-    if (state.m_efci) state.m_efci->add();
+    state.m_efci.add();
     if (efci_observer_) efci_observer_(vc);
   }
 
@@ -304,11 +297,10 @@ void RxPath::process_cell(atm::Cell cell, VcState& state) {
     service();
     return;
   }
-  complete_pdu(vc, state, std::move(*done));
+  complete_pdu(vc, std::move(*done));
 }
 
-void RxPath::complete_pdu(atm::VcId vc, VcState& state,
-                          aal::FrameDelivery d) {
+void RxPath::complete_pdu(atm::VcId vc, aal::FrameDelivery d) {
   board_.release(chain_key(vc));
   if (!d.ok()) {
     pdus_err_.add();
@@ -318,14 +310,10 @@ void RxPath::complete_pdu(atm::VcId vc, VcState& state,
     return;
   }
 
-  // Registry-owned, so the pointer outlives the VcState even if the VC
-  // closes while the landing DMA is in flight.
-  sim::Counter* m_pdus = state.m_pdus;
-
   // Per-PDU delivery work, then the DMA to host memory. The engine is
   // free once the DMA is programmed; the transfer itself is hardware.
   engine_.execute(ph_deliver_, rx_pdu_instructions(firmware_),
-                  [this, vc, m_pdus, d = std::move(d)]() mutable {
+                  [this, vc, d = std::move(d)]() mutable {
     std::optional<bus::SgList> sg = alloc_(d.sdu.size());
     if (!sg) {
       host_buffer_drop_.add();
@@ -341,7 +329,7 @@ void RxPath::complete_pdu(atm::VcId vc, VcState& state,
     service();
     const sim::Time issued = sim_.now();
     dma_.write(host_sg, 0, std::move(d.sdu),
-               [this, vc, m_pdus, host_sg, len, first, issued] {
+               [this, vc, host_sg, len, first, issued] {
                  profiler_.add(ph_dma_wait_, sim_.now() - issued);
                  RxDelivery out;
                  out.vc = vc;
@@ -352,7 +340,9 @@ void RxPath::complete_pdu(atm::VcId vc, VcState& state,
                  latency_us_.add(
                      sim::to_microseconds(out.delivered_time - first));
                  pdus_ok_.add();
-                 if (m_pdus) m_pdus->add();
+                 // The VC may have closed while the DMA was in flight;
+                 // its per-VC books went with it.
+                 if (VcState* vs = vcs_.find(vc).state) vs->m_pdus.add();
                  pending_deliveries_.push_back(std::move(out));
                  interrupts_.post();
                },

@@ -212,8 +212,8 @@ class RxPath {
   /// append, CRC, OAM, delivery, DMA wait) — bench O1's RX table.
   const sim::CycleProfiler& profiler() const { return profiler_; }
 
-  /// Surfaces the path's books (and per-VC counters for open and future
-  /// VCs) under `scope`.
+  /// Surfaces the path's books under `scope`, plus a per-VC row family
+  /// covering the VCs open at each snapshot.
   void register_metrics(const sim::MetricScope& scope);
 
   /// Attaches a tracer: a priority-lane (OAM/control) cell refused by a
@@ -227,18 +227,17 @@ class RxPath {
     aal::AalType aal = aal::AalType::kAal5;
     std::unique_ptr<aal::FrameReassembler> reasm;
     sim::Time last_activity = 0;
-    // Per-VC instruments (registry-owned; null until metrics attach).
-    sim::Counter* m_cells = nullptr;
-    sim::Counter* m_pdus = nullptr;
-    sim::Counter* m_efci = nullptr;
+    // Per-VC instruments, rendered by the registry's per-VC family;
+    // they go with the VC when it closes.
+    sim::Counter m_cells;
+    sim::Counter m_pdus;
+    sim::Counter m_efci;
   };
-
-  void attach_vc_metrics(atm::VcId vc, VcState& vs);
 
   void service();
   void sweep_stale_pdus();
   void process_cell(atm::Cell cell, VcState& state);
-  void complete_pdu(atm::VcId vc, VcState& state, aal::FrameDelivery d);
+  void complete_pdu(atm::VcId vc, aal::FrameDelivery d);
   static bool is_first_cell(const atm::Cell& cell, const VcState& state);
   static std::uint64_t chain_key(atm::VcId vc) {
     return (static_cast<std::uint64_t>(vc.vpi) << 16) | vc.vci;
@@ -276,7 +275,6 @@ class RxPath {
   sim::CycleProfiler::PhaseId ph_oam_;
   sim::CycleProfiler::PhaseId ph_deliver_;
   sim::CycleProfiler::PhaseId ph_dma_wait_;
-  std::optional<sim::MetricScope> metrics_;
 
   sim::Counter cells_in_;
   sim::Counter hec_discard_;

@@ -47,21 +47,33 @@ TxPath::TxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
 TxPath::VcState& TxPath::state_for(atm::VcId vc) {
   auto [state, inserted] = vcs_.try_emplace(atm::vc_label(vc));
   if (inserted) {
+    state->rr_index = static_cast<std::uint32_t>(rr_.size());
     rr_.push_back(vc);
-    attach_vc_metrics(vc, *state);
   }
   return *state;
 }
 
-void TxPath::attach_vc_metrics(atm::VcId vc, VcState& vs) {
-  if (!metrics_) return;
-  const sim::MetricScope scope = metrics_->vc(vc.vpi, vc.vci);
-  vs.m_cells = &scope.counter("cells");
-  vs.m_pdus = &scope.counter("pdus");
+void TxPath::push_staged(VcState& vs, StagedPdu staged) {
+  if (vs.queue.empty()) {
+    vs.ready_slot = static_cast<std::uint32_t>(ready_.size());
+    ready_.push_back(&vs);
+  }
+  vs.queue.push_back(std::move(staged));
+  ++staged_count_;
+}
+
+void TxPath::pop_staged(VcState& vs) {
+  vs.queue.pop_front();
+  --staged_count_;
+  if (!vs.queue.empty()) return;
+  // Swap-remove: ready_ has no order to keep.
+  VcState* last = ready_.back();
+  ready_[vs.ready_slot] = last;
+  last->ready_slot = vs.ready_slot;
+  ready_.pop_back();
 }
 
 void TxPath::register_metrics(const sim::MetricScope& scope) {
-  metrics_ = scope;
   scope.expose("pdus_sent", pdus_);
   scope.expose("cells_built", cells_);
   scope.expose("pdus_aborted", aborted_);
@@ -71,8 +83,13 @@ void TxPath::register_metrics(const sim::MetricScope& scope) {
   engine_.register_metrics(scope.sub("engine"));
   fifo_.register_metrics(scope.sub("fifo"));
   dma_.register_metrics(scope.sub("dma"));
-  vcs_.for_each([this](std::uint32_t label, VcState& vs) {
-    attach_vc_metrics(atm::vc_from_label(label), vs);
+  scope.vc_family([this](sim::VcRowWriter& rows) {
+    vcs_.for_each([&rows](std::uint32_t label, const VcState& vs) {
+      const atm::VcId vc = atm::vc_from_label(label);
+      rows.begin(vc.vpi, vc.vci);
+      rows.counter("cells", vs.m_cells);
+      rows.counter("pdus", vs.m_pdus);
+    });
   });
 }
 
@@ -119,11 +136,9 @@ void TxPath::unwedge_engine() {
 bool TxPath::has_runnable_work() const {
   if (!control_.empty()) return true;
   const sim::Time now = sim_.now();
-  if (vcs_.any_of([now](std::uint32_t, const VcState& vs) {
-        if (vs.paused || vs.queue.empty()) return false;
-        if (vs.shaper && !vs.shaper->conforms(now)) return false;
-        return true;
-      })) {
+  for (const VcState* vs : ready_) {
+    if (vs->paused) continue;
+    if (vs->shaper && !vs->shaper->conforms(now)) continue;
     return true;
   }
   // A stageable descriptor waiting while the staging pipeline sits idle
@@ -238,8 +253,7 @@ void TxPath::stage_pdu(TxDescriptor d) {
                       staged.cells = seg.segment(sdu, desc.clp);
                       const atm::VcId vc = desc.vc;
                       staged.descriptor = std::move(desc);
-                      state_for(vc).queue.push_back(std::move(staged));
-                      ++staged_count_;
+                      push_staged(state_for(vc), std::move(staged));
                       --staging_inflight_;
                       staging_vcs_.erase(vc);
                       schedule_emission();
@@ -318,20 +332,31 @@ void TxPath::schedule_emission() {
                     });
     return;
   }
-  if (rr_.empty()) return;
+  if (ready_.empty()) return;
 
+  // The VC the rotation reaches first from rr_pos_ among those that can
+  // emit now: the smallest (rr_index - rr_pos_) mod rr_.size(). Same
+  // pick as a scan of the whole rotation, at the cost of the ready set.
   const sim::Time now = sim_.now();
+  const std::size_t n = rr_.size();
   sim::Time earliest = sim::kTimeNever;
-  for (std::size_t i = 0; i < rr_.size(); ++i) {
-    const std::size_t idx = (rr_pos_ + i) % rr_.size();
-    VcState& vs = vc_state(rr_[idx]);
-    if (vs.queue.empty() || vs.paused) continue;
-    if (vs.shaper && !vs.shaper->conforms(now)) {
-      earliest = std::min(earliest, vs.shaper->eligible_at());
+  const VcState* best = nullptr;
+  std::size_t best_dist = n;
+  for (const VcState* vs : ready_) {
+    if (vs->paused) continue;
+    if (vs->shaper && !vs->shaper->conforms(now)) {
+      earliest = std::min(earliest, vs->shaper->eligible_at());
       continue;
     }
-    rr_pos_ = (idx + 1) % rr_.size();
-    emit_one(rr_[idx]);
+    const std::size_t dist = (vs->rr_index + n - rr_pos_) % n;
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = vs;
+    }
+  }
+  if (best != nullptr) {
+    rr_pos_ = (best->rr_index + 1) % n;
+    emit_one(rr_[best->rr_index]);
     return;
   }
   if (earliest != sim::kTimeNever && earliest > now) {
@@ -378,7 +403,7 @@ void TxPath::emit_one(atm::VcId vc) {
     cell.meta.created = sim_.now();
     cell.meta.seq = next_seq_++;
     cells_.add();
-    if (vs.m_cells) vs.m_cells->add();
+    vs.m_cells.add();
     fifo_.push(std::move(cell));  // scheduler checked space; cannot drop
     if (vs.shaper) vs.shaper->commit(sim_.now());
     ++pdu.next;
@@ -389,13 +414,11 @@ void TxPath::emit_one(atm::VcId vc) {
     }
     // Last cell handed over: per-PDU completion work.
     TxDescriptor done = std::move(pdu.descriptor);
-    sim::Counter* m_pdus = vs.m_pdus;
-    vs.queue.pop_front();
-    --staged_count_;
+    pop_staged(vs);
     engine_.execute(ph_complete_, firmware_.tx.complete_pdu,
-                    [this, m_pdus, done = std::move(done)] {
+                    [this, &vs, done = std::move(done)] {
                       pdus_.add();
-                      if (m_pdus) m_pdus->add();
+                      vs.m_pdus.add();
                       if (completion_) completion_(done);
                       emit_busy_ = false;
                       schedule_emission();
@@ -420,8 +443,7 @@ void TxPath::emit_one(atm::VcId vc) {
                 // be cut — abandon it and move the scheduler along.
                 VcState& vs = vc_state(vc);
                 TxDescriptor done = std::move(vs.queue.front().descriptor);
-                vs.queue.pop_front();
-                --staged_count_;
+                pop_staged(vs);
                 aborted_.add();
                 if (completion_) completion_(done);
                 emit_busy_ = false;

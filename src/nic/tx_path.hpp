@@ -183,8 +183,8 @@ class TxPath {
   /// CRC, DMA wait, FIFO stall, …) — bench O1's TX table.
   const sim::CycleProfiler& profiler() const { return profiler_; }
 
-  /// Surfaces the path's books (and per-VC counters for every VC seen
-  /// from now on) under `scope`.
+  /// Surfaces the path's books under `scope`, plus a per-VC row family
+  /// covering every VC the path has seen.
   void register_metrics(const sim::MetricScope& scope);
 
  private:
@@ -202,12 +202,12 @@ class TxPath {
     sim::Time contract_cdvt = 0;
     double rate_factor = 1.0;      // congestion throttle multiplier
     bool paused = false;  // remote defect: hold emission, shed posts
-    // Per-VC instruments (registry-owned; null until metrics attach).
-    sim::Counter* m_cells = nullptr;
-    sim::Counter* m_pdus = nullptr;
+    std::uint32_t rr_index = 0;    // position in the rr_ rotation
+    std::uint32_t ready_slot = 0;  // position in ready_ (queue non-empty)
+    // Per-VC instruments, rendered by the registry's per-VC family.
+    sim::Counter m_cells;
+    sim::Counter m_pdus;
   };
-
-  void attach_vc_metrics(atm::VcId vc, VcState& vs);
 
   /// Rebuilds a VC's GCRA from its contract and throttle factor (an
   /// unthrottled, uncontracted VC runs unshaped).
@@ -230,6 +230,10 @@ class TxPath {
   VcState& vc_state(atm::VcId vc) {
     return *vcs_.find(atm::vc_label(vc)).value;
   }
+  /// Queue transitions that keep ready_ in step: a VC joins the set
+  /// when its queue goes non-empty and leaves it when the queue empties.
+  void push_staged(VcState& vs, StagedPdu staged);
+  void pop_staged(VcState& vs);
 
   sim::Simulator& sim_;
   bus::HostMemory& memory_;
@@ -249,6 +253,9 @@ class TxPath {
   sim::FlatMap<std::uint32_t, VcState> vcs_;
   std::vector<atm::VcId> rr_;   // all VCs ever seen, rotation order
   std::size_t rr_pos_ = 0;
+  // The VCs with staged PDUs, unordered: the scheduler picks the one
+  // nearest rr_pos_ in rotation order, so it never walks idle VCs.
+  std::vector<VcState*> ready_;
   std::size_t staged_count_ = 0;
   std::size_t staging_inflight_ = 0;
   std::unordered_set<atm::VcId> staging_vcs_;  // per-VC ordering guard
@@ -268,7 +275,6 @@ class TxPath {
   sim::CycleProfiler::PhaseId ph_crc_;
   sim::CycleProfiler::PhaseId ph_stall_;
   sim::CycleProfiler::PhaseId ph_complete_;
-  std::optional<sim::MetricScope> metrics_;
 
   Completion completion_;
   std::uint64_t next_seq_ = 0;

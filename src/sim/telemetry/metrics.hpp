@@ -13,9 +13,13 @@
 //                  queue depth, any derived value);
 //   * histograms — registry-owned, for latency-style distributions.
 //
-// Per-VC metrics are just scopes: a path registers each open VC under
-// "<scope>.vc.<vpi>.<vci>" and the dump enumerates them like any other
-// instrument.
+// Per-VC metrics are a row family, not registered entries: a path
+// keeps each VC's counters inline in its own per-VC state and registers
+// one family (MetricScope::vc_family). At snapshot time the family
+// walks the path's live VC table and renders
+// "<scope>.vc.<vpi>.<vci>.<name>" rows, which sort in with the named
+// entries. Opening a VC therefore does no string work and adds no
+// registry entry, and a VC whose state is gone (closed) has no rows.
 //
 // Hot-path cost: incrementing a registered counter is identical to an
 // unregistered one (Counter::add — no allocation, no lookup). All
@@ -23,10 +27,10 @@
 // Snapshots are sorted by name, so two identical runs dump
 // byte-identical output — the determinism tests rely on this.
 //
-// Lifetime: expose() and gauge() hold references into the registering
-// component; the registry must not be snapshotted after a registered
-// component dies. core::Testbed owns the registry alongside its
-// stations and links, which satisfies this by construction.
+// Lifetime: expose(), gauge() and family() hold references into the
+// registering component; the registry must not be snapshotted after a
+// registered component dies. core::Testbed owns the registry alongside
+// its stations and links, which satisfies this by construction.
 
 #pragma once
 
@@ -34,6 +38,8 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hpp"
@@ -68,6 +74,14 @@ class MetricsRegistry {
   /// Registers a callback gauge, sampled at snapshot time.
   void gauge(const std::string& name, std::function<double()> fn);
 
+  /// A row family: at snapshot time `emit` appends any number of rows
+  /// to the snapshot (in any order; snapshot() sorts). Families are
+  /// keyed by `key`; re-registering a key replaces the family (newest
+  /// wins, as with expose()). Family rows are not entries: size()
+  /// does not count them.
+  using Family = std::function<void(std::vector<Sample>& out)>;
+  void family(const std::string& key, Family emit);
+
   /// Every instrument, sorted by name (deterministic dump order).
   std::vector<Sample> snapshot() const;
 
@@ -75,6 +89,8 @@ class MetricsRegistry {
   /// Histograms render as {"count":n,"p50":x,"p99":y}.
   std::string to_json(const std::string& prefix = "") const;
 
+  /// Registered entries (counters, gauges, histograms). Family rows
+  /// are rendered at snapshot time and not counted.
   std::size_t size() const;
 
  private:
@@ -92,6 +108,39 @@ class MetricsRegistry {
   std::deque<Counter> owned_counters_;
   std::deque<Histogram> owned_histograms_;
   std::vector<Entry> entries_;
+  std::vector<std::pair<std::string, Family>> families_;
+};
+
+/// Renders per-VC counter rows "<scope>.vc.<vpi>.<vci>.<name>" into a
+/// snapshot. begin() builds a VC's prefix once into a reused buffer, so
+/// each row costs one allocation (its name). VCs may be visited in any
+/// order; finish() reorders the block by name, using the numbers rather
+/// than the strings, so the snapshot inserts it whole instead of
+/// sorting it.
+class VcRowWriter {
+ public:
+  VcRowWriter(const std::string& scope,
+              std::vector<MetricsRegistry::Sample>& out);
+
+  /// Starts the rows of one VC. Its counter() calls should come in
+  /// name order.
+  void begin(std::uint32_t vpi, std::uint32_t vci);
+  /// Appends "<current VC prefix><name>" with the counter's value.
+  void counter(std::string_view name, const Counter& c);
+  /// Puts the rows in name order; called once, after the last row.
+  void finish();
+
+ private:
+  struct Group {
+    std::uint32_t vpi, vci;
+    std::size_t first, end;  // the VC's rows in *out_
+  };
+
+  std::vector<MetricsRegistry::Sample>* out_;
+  std::size_t base_;        // out_->size() at construction
+  std::string prefix_;      // "<scope>.vc.<vpi>.<vci>."
+  std::size_t scope_len_;   // length of "<scope>.vc."
+  std::vector<Group> groups_;
 };
 
 /// A dotted-prefix view of a registry: Scope("nic.rx").counter("drops")
@@ -124,6 +173,12 @@ class MetricScope {
   }
   /// Surfaces a RunningStat as .count/.mean/.max gauges.
   void expose_stat(const std::string& name, const RunningStat& s) const;
+
+  /// Registers the per-VC row family of this scope: at snapshot time
+  /// `walk` visits the live VCs, calling VcRowWriter::begin per VC and
+  /// VcRowWriter::counter per instrument. Rows render as
+  /// "<prefix>.vc.<vpi>.<vci>.<name>", the names vc() would build.
+  void vc_family(std::function<void(VcRowWriter&)> walk) const;
 
   const std::string& prefix() const { return prefix_; }
   MetricsRegistry& registry() const { return *registry_; }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "atm/cell.hpp"
 #include "atm/hec.hpp"
 
@@ -136,14 +138,23 @@ TEST(VcId, LabelsDistinctAcrossFieldBoundaries) {
   EXPECT_NE(vc_label({kMaxNniVpi, 0}), vc_label({kMaxNniVpi - 1, 0xFFFF}));
 }
 
-// Exhaustive-ish roundtrip sweep across the field space.
+// Exhaustive-ish roundtrip sweep across the field space. gtest names
+// each case after the raw bytes of its parameter, so the struct spells
+// out its one padding byte as zero: left implicit, that byte held
+// whatever was on the stack and the case names changed run to run.
 struct HeaderCase {
+  constexpr HeaderCase(std::uint8_t g, std::uint16_t vp, std::uint16_t vc,
+                       std::uint8_t p, bool c)
+      : gfc(g), vpi(vp), vci(vc), pti(p), clp(c) {}
   std::uint8_t gfc;
+  std::uint8_t pad = 0;
   std::uint16_t vpi;
   std::uint16_t vci;
   std::uint8_t pti;
   bool clp;
 };
+static_assert(sizeof(HeaderCase) == 8 &&
+              std::has_unique_object_representations_v<HeaderCase>);
 
 class HeaderRoundtrip : public ::testing::TestWithParam<HeaderCase> {};
 

@@ -201,5 +201,79 @@ TEST(TxPath, EngineChargedPerCellAndPerPdu) {
   EXPECT_EQ(tx->engine().instructions_retired(), expect);
 }
 
+// The emission scheduler at scale: with 1024 VCs in the rotation and
+// a scattered subset holding staged cells, grants go round-robin in
+// rotation order (the order the path first saw each VC), skipping
+// paused VCs and VCs whose shaper is not yet conforming.
+TEST(TxPath, RoundRobinRotationAcrossManyVcs) {
+  Fixture f;
+  TxPathConfig cfg;
+  cfg.ring_entries = 256;
+  cfg.staged_pdus = 256;
+  cfg.staging_concurrency = 256;
+  cfg.fifo_cells = 1;  // one grant per wire slot once the framer runs
+  cfg.watchdog_interval = 0;
+  auto tx = f.make(cfg);
+
+  // Rotation order scattered over labels (and VPIs).
+  constexpr std::size_t kVcs = 1024;
+  std::vector<atm::VcId> rotation;
+  for (std::size_t i = 0; i < kVcs; ++i) {
+    rotation.push_back({static_cast<std::uint16_t>(i % 3),
+                        static_cast<std::uint16_t>(32 + (i * 389) % kVcs)});
+    tx->clear_shaper(rotation.back());
+  }
+  std::vector<std::size_t> subset;
+  for (std::size_t i = 0; i < kVcs; ++i) {
+    if ((i * 7919) % 13 == 5) subset.push_back(i);
+  }
+  ASSERT_GT(subset.size(), 60u);
+  const std::size_t paused = subset[3];
+  const std::size_t shaped = subset[10];
+  const std::size_t throttled = subset[20];
+  const std::size_t twice_a = subset[5];
+  const std::size_t twice_b = subset[40];
+  tx->set_shaper(rotation[shaped], 200.0);  // second cell 5 ms later
+  tx->set_rate_factor(rotation[throttled], 1.0 / 1024);  // ~2.9 ms
+
+  // A control cell fills the one-cell FIFO before the framer starts,
+  // so every PDU is staged before the first user-cell grant.
+  std::vector<atm::VcId> wire;
+  tx->framer().set_sink([&](const atm::Cell& c) {
+    if (c.header.vc != atm::VcId{0, 5}) wire.push_back(c.header.vc);
+  });
+  atm::Cell control;
+  control.header.vc = {0, 5};
+  tx->inject_cell(control);
+  for (const std::size_t i : subset) {
+    ASSERT_TRUE(tx->post(descriptor_for(f.mem, aal::make_pattern(40, 1),
+                                        rotation[i])));
+  }
+  for (const std::size_t i : {twice_a, twice_b, shaped, throttled}) {
+    ASSERT_TRUE(tx->post(descriptor_for(f.mem, aal::make_pattern(40, 2),
+                                        rotation[i])));
+  }
+  f.sim.run_until(sim::milliseconds(2));
+  ASSERT_TRUE(wire.empty());
+  tx->pause_vc(rotation[paused]);  // staged, then held
+  tx->start();
+  f.sim.run_until(sim::milliseconds(12));
+  tx->resume_vc(rotation[paused]);
+  f.sim.run_until(sim::milliseconds(13));
+
+  // Round one: every staged VC once, in rotation order, bar the paused
+  // one. Round two: the unshaped VCs with a second PDU. Then the
+  // shaped VCs' second cells as they conform, then the resumed VC.
+  std::vector<atm::VcId> expect;
+  for (const std::size_t i : subset) {
+    if (i != paused) expect.push_back(rotation[i]);
+  }
+  for (const std::size_t i : {twice_a, twice_b, throttled, shaped, paused}) {
+    expect.push_back(rotation[i]);
+  }
+  EXPECT_EQ(wire, expect);
+  EXPECT_EQ(tx->pdus_sent(), subset.size() + 4);
+}
+
 }  // namespace
 }  // namespace hni::nic

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -213,6 +214,160 @@ TEST(MetricsRegistry, JsonDumpByteIdenticalAcrossIdenticalRuns) {
   EXPECT_NE(first.find(".nic.tx.vc.0.31.cells\""), std::string::npos);
   EXPECT_NE(first.find(".nic.rx.vc.0.31.pdus\""), std::string::npos);
   EXPECT_NE(first.find("\"link.0.cells_in\""), std::string::npos);
+}
+
+// --- Per-VC row family -----------------------------------------------
+//
+// Per-VC counters live in the paths' VC tables; one family per path
+// renders them at snapshot time. Registry size does not grow with VCs,
+// and a VC's rows exist exactly while its state does.
+
+/// The snapshot value of `name`, or nullopt when no row has that name.
+std::optional<double> row(const sim::MetricsRegistry& registry,
+                          const std::string& name) {
+  for (const auto& s : registry.snapshot()) {
+    if (s.name == name) return s.value;
+  }
+  return std::nullopt;
+}
+
+atm::VcId nth_vc(std::size_t i) {
+  return atm::VcId{static_cast<std::uint16_t>(i >> 12),
+                   static_cast<std::uint16_t>(32 + (i & 0xFFF))};
+}
+
+std::size_t registry_size_with_vcs(std::size_t n) {
+  core::Testbed bed;
+  auto& a = bed.add_station({});
+  auto& b = bed.add_station({});
+  bed.connect(a, b);
+  for (std::size_t i = 0; i < n; ++i) {
+    a.nic().open_vc(nth_vc(i), aal::AalType::kAal5);
+    b.nic().open_vc(nth_vc(i), aal::AalType::kAal5);
+    a.nic().tx().clear_shaper(nth_vc(i));  // creates the TX VC state
+  }
+  a.host().send(nth_vc(n - 1), aal::AalType::kAal5, aal::make_pattern(100, 1));
+  bed.run_for(sim::milliseconds(1));
+  EXPECT_EQ(b.nic().rx().pdus_delivered(), 1u);
+  // Every VC renders its rows: 2 TX rows on a, 3 RX rows on each side.
+  std::size_t vc_rows = 0;
+  for (const auto& s : bed.metrics().snapshot()) {
+    if (s.name.find(".vc.") != std::string::npos) ++vc_rows;
+  }
+  EXPECT_EQ(vc_rows, n * (2 + 3 + 3));
+  return bed.metrics().size();
+}
+
+TEST(VcFamily, RegistrySizeIndependentOfOpenVcs) {
+  EXPECT_EQ(registry_size_with_vcs(16), registry_size_with_vcs(4096));
+}
+
+TEST(VcFamily, RowsCoverVcsOpenedBeforeAndAfterRegistration) {
+  sim::Simulator sim;
+  core::Station st(sim, core::StationConfig{});
+  const atm::VcId before{0, 40};
+  const atm::VcId after{1, 41};
+  st.nic().open_vc(before, aal::AalType::kAal5);
+  st.nic().tx().clear_shaper(before);
+  sim::MetricsRegistry registry;
+  st.register_metrics(sim::MetricScope(registry, "st"));
+  st.nic().open_vc(after, aal::AalType::kAal5);
+  st.nic().tx().clear_shaper(after);
+  const std::string json = registry.to_json();
+  for (const char* name :
+       {"\"st.nic.rx.vc.0.40.pdus\":0", "\"st.nic.rx.vc.1.41.pdus\":0",
+        "\"st.nic.rx.vc.0.40.cells_efci_marked\":0",
+        "\"st.nic.tx.vc.0.40.cells\":0", "\"st.nic.tx.vc.1.41.cells\":0"}) {
+    EXPECT_NE(json.find(name), std::string::npos) << name << "\n" << json;
+  }
+}
+
+TEST(VcFamily, RowsSortWithNamedEntriesByName) {
+  // Labels whose decimal order differs from their numeric order, rows
+  // of one VC written out of name order, and a named entry that sorts
+  // between two VCs' rows.
+  sim::MetricsRegistry registry;
+  const sim::MetricScope scope(registry, "p");
+  std::vector<std::pair<atm::VcId, sim::Counter>> vcs;
+  for (const atm::VcId vc : {atm::VcId{0, 100}, atm::VcId{0, 9},
+                             atm::VcId{2, 1}, atm::VcId{10, 5},
+                             atm::VcId{0, 10}, atm::VcId{1, 0}}) {
+    vcs.push_back({vc, sim::Counter{}});
+  }
+  const auto walk = [&vcs](sim::VcRowWriter& rows) {
+    for (const auto& [vc, c] : vcs) {
+      rows.begin(vc.vpi, vc.vci);
+      rows.counter("pdus", c);
+      rows.counter("cells", c);
+    }
+  };
+  scope.vc_family(walk);
+  scope.vc_family(walk);  // re-registration replaces, never duplicates
+  scope.sub("vc.0.50").counter("named");
+  registry.counter("a");
+  registry.counter("z");
+  const auto snap = registry.snapshot();
+  ASSERT_EQ(snap.size(), 2 * vcs.size() + 3);
+  for (std::size_t i = 1; i < snap.size(); ++i) {
+    EXPECT_LT(snap[i - 1].name, snap[i].name) << i;
+  }
+  EXPECT_EQ(registry.size(), 3u);
+}
+
+TEST(VcFamily, ClosedVcRowsLeaveAndReopenedVcCountsFromZero) {
+  core::Testbed bed;
+  auto& a = bed.add_station({});
+  auto& b = bed.add_station({});
+  bed.connect(a, b);
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  for (int i = 0; i < 2; ++i) {
+    a.host().send(kVc, aal::AalType::kAal5, aal::make_pattern(100, i + 1));
+  }
+  bed.run_for(sim::milliseconds(1));
+  const std::string rx_pdus = "station.1.station.nic.rx.vc.0.31.pdus";
+  EXPECT_EQ(row(bed.metrics(), rx_pdus), 2.0);
+
+  b.nic().close_vc(kVc);
+  for (const auto& s : bed.metrics().snapshot()) {
+    EXPECT_EQ(s.name.find("station.1.station.nic.rx.vc."), std::string::npos)
+        << s.name;
+  }
+
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  EXPECT_EQ(row(bed.metrics(), rx_pdus), 0.0);
+  a.host().send(kVc, aal::AalType::kAal5, aal::make_pattern(100, 3));
+  bed.run_for(sim::milliseconds(1));
+  EXPECT_EQ(row(bed.metrics(), rx_pdus), 1.0);
+  EXPECT_EQ(b.nic().rx().pdus_delivered(), 3u);
+}
+
+TEST(VcFamily, CloseDuringLandingDmaCountsNothingForTheClosedVc) {
+  core::Testbed bed;
+  auto& a = bed.add_station({});
+  auto& b = bed.add_station({});
+  bed.connect(a, b);
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  // Hold b's landing DMA so the PDU is reassembled but not yet landed
+  // when the VC closes.
+  b.nic().rx().dma().stall(sim::milliseconds(2));
+  a.host().send(kVc, aal::AalType::kAal5, aal::make_pattern(100, 1));
+  bed.run_for(sim::milliseconds(1));
+  ASSERT_EQ(b.nic().rx().cells_serviced(), 3u);
+  ASSERT_EQ(b.nic().rx().pdus_delivered(), 0u);
+  b.nic().close_vc(kVc);
+
+  bed.run_for(sim::milliseconds(3));
+  // The transfer finishes into host memory and the path's own books
+  // count it; the closed VC has no rows to count it in.
+  EXPECT_EQ(b.nic().rx().pdus_delivered(), 1u);
+  for (const auto& s : bed.metrics().snapshot()) {
+    EXPECT_EQ(s.name.find("station.1.station.nic.rx.vc."), std::string::npos)
+        << s.name;
+  }
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  EXPECT_EQ(row(bed.metrics(), "station.1.station.nic.rx.vc.0.31.pdus"), 0.0);
 }
 
 TEST(MetricsRegistry, TableRendersAndFiltersByPrefix) {
