@@ -30,6 +30,34 @@ static void BM_Crc32_9180(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32_9180);
 
+// The source's per-SDU payload generator and the sink's check. The seed
+// passes through DoNotOptimize each iteration, so neither call can be
+// folded or hoisted out of the loop.
+static void BM_MakePattern_9180(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seed);
+    const aal::Bytes pattern = aal::make_pattern(9180, seed);
+    benchmark::DoNotOptimize(pattern.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          9180);
+}
+BENCHMARK(BM_MakePattern_9180);
+
+static void BM_VerifyPattern_9180(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  const aal::Bytes sdu = aal::make_pattern(9180, seed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seed);
+    benchmark::DoNotOptimize(aal::verify_pattern(sdu, seed));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          9180);
+}
+BENCHMARK(BM_VerifyPattern_9180);
+
 static void BM_Crc10_Cell(benchmark::State& state) {
   const aal::Bytes data = aal::make_pattern(48, 2);
   for (auto _ : state) {

@@ -22,7 +22,8 @@
 # fairness/audit per scenario.
 #
 # Refreshing the baseline after an intentional perf change:
-#   ./build/bench/bench_micro --benchmark_filter='BM_Simulator' \
+#   ./build/bench/bench_micro \
+#     --benchmark_filter='BM_Simulator|BM_Crc32_9180|BM_MakePattern_9180|BM_VerifyPattern_9180' \
 #     --benchmark_repetitions=5 \
 #     --benchmark_out=bench/baselines/BENCH_kernel.json \
 #     --benchmark_out_format=json

@@ -48,6 +48,12 @@ BASELINES = {
     "protection": ("bench_r5_protection", "json"),
 }
 
+# bench_micro rows gated against bench/baselines/BENCH_kernel.json: the
+# event kernel and the host-side byte kernels (CRC-32, pattern make and
+# verify) that every cell-path scenario runs through.
+KERNEL_FILTER = ("BM_Simulator|BM_Crc32_9180|BM_MakePattern_9180|"
+                 "BM_VerifyPattern_9180")
+
 
 class Job:
     def __init__(self, name, kind, cmd, timeout):
@@ -222,7 +228,7 @@ def main(argv=None):
                 # flags itself; --bench-compare needs the 3-repetition
                 # statistics the committed baseline was built with.
                 if args.bench_compare:
-                    cmd = [path, "--benchmark_filter=BM_Simulator",
+                    cmd = [path, "--benchmark_filter=" + KERNEL_FILTER,
                            "--benchmark_repetitions=3",
                            "--json", os.path.join(args.build_dir,
                                                   "BENCH_kernel.json")]

@@ -64,11 +64,14 @@ std::string_view to_string(ReassemblyError error);
 /// the first up-to-8 bytes carry `seed` (little-endian), the rest an
 /// xorshift stream keyed by it. verify_pattern() recovers the seed from
 /// the data itself, so receivers can validate byte integrity even when
-/// loss makes SDU indices unknowable. SDUs under 4 bytes are too small
-/// to self-identify and verify as true.
+/// loss makes SDU indices unknowable. An SDU of 8 bytes or fewer is all
+/// tag, so verify_pattern(data) has nothing to check and returns true.
+/// Verifying compares in place, allocates nothing and stops at the
+/// first mismatch.
 Bytes make_pattern(std::size_t n, std::uint64_t seed);
 bool verify_pattern(const Bytes& data);
-/// Checks against a known seed (strict form).
+/// Checks against a known seed (strict form). Below 8 bytes only the
+/// seed's low data.size() bytes are checked.
 bool verify_pattern(const Bytes& data, std::uint64_t seed);
 
 }  // namespace hni::aal

@@ -1,6 +1,8 @@
 #include "atm/crc.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace hni::atm {
 namespace {
@@ -29,22 +31,43 @@ constexpr std::array<std::uint16_t, 256> make_crc10_table() {
 constexpr auto kCrc10Table = make_crc10_table();
 
 // --- CRC-32 (reflected 0x04C11DB7 => 0xEDB88320) ----------------------
+//
+// Slicing-by-8: table[0] is the classic bytewise table; table[k][b] is
+// the CRC contribution of byte b followed by k zero bytes. Eight input
+// bytes then fold into the register with eight independent lookups.
 
 constexpr std::uint32_t kCrc32PolyReflected = 0xEDB88320u;
 
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) ? (crc >> 1) ^ kCrc32PolyReflected : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrc32Table = make_crc32_table();
+constexpr Crc32Tables kCrc32 = make_crc32_tables();
+
+// The slicing step reads input words as little-endian integers.
+static_assert(std::endian::native == std::endian::little,
+              "CRC-32 slicing-by-8 assumes a little-endian host");
+
+std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
 
 }  // namespace
 
@@ -60,8 +83,18 @@ std::uint16_t crc10(std::span<const std::uint8_t> data) {
 
 void Crc32::update(std::span<const std::uint8_t> data) {
   std::uint32_t crc = state_;
-  for (std::uint8_t b : data) {
-    crc = (crc >> 8) ^ kCrc32Table[(crc ^ b) & 0xFFu];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_u32(p) ^ crc;
+    const std::uint32_t hi = load_u32(p + 4);
+    crc = kCrc32[7][lo & 0xFFu] ^ kCrc32[6][(lo >> 8) & 0xFFu] ^
+          kCrc32[5][(lo >> 16) & 0xFFu] ^ kCrc32[4][lo >> 24] ^
+          kCrc32[3][hi & 0xFFu] ^ kCrc32[2][(hi >> 8) & 0xFFu] ^
+          kCrc32[1][(hi >> 16) & 0xFFu] ^ kCrc32[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ kCrc32[0][(crc ^ *p) & 0xFFu];
   }
   state_ = crc;
 }

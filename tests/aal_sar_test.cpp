@@ -2,12 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+
 #include "aal/sar.hpp"
 
 namespace hni::aal {
 namespace {
 
 atm::VcId kVc{0, 5};
+
+// Scalar reference for make_pattern: the seed tag, then one xorshift64
+// (13, 7, 17) step per byte from a length-keyed state.
+Bytes pattern_reference(std::size_t n, std::uint64_t seed) {
+  Bytes out(n);
+  const std::size_t tag = n < 8 ? n : 8;
+  for (std::size_t i = 0; i < tag; ++i) {
+    out[i] = static_cast<std::uint8_t>(seed >> (8 * i));
+  }
+  std::uint64_t x = (seed ^ (static_cast<std::uint64_t>(n) << 32)) *
+                        0x9E3779B97F4A7C15ull +
+                    0xD1B54A32D192ED03ull;
+  for (std::size_t i = tag; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    out[i] = static_cast<std::uint8_t>(x);
+  }
+  return out;
+}
+
+constexpr std::uint64_t kSeeds[] = {0, 1, 77, 0xABCD, 0xDEADBEEFCAFEF00Dull,
+                                    ~0ull};
 
 TEST(AalTypes, Names) {
   EXPECT_EQ(to_string(AalType::kAal1), "AAL1");
@@ -45,6 +71,67 @@ TEST(Pattern, DetectsTruncation) {
   Bytes p = make_pattern(64, 77);
   p.resize(40);
   EXPECT_FALSE(verify_pattern(p));
+}
+
+TEST(Pattern, MatchesScalarReference) {
+  for (const std::uint64_t seed : kSeeds) {
+    for (std::size_t n = 0; n <= 72; ++n) {
+      ASSERT_EQ(make_pattern(n, seed), pattern_reference(n, seed))
+          << "n=" << n << " seed=" << seed;
+    }
+    for (const std::size_t n : {std::size_t{9180}, std::size_t{65535}}) {
+      ASSERT_EQ(make_pattern(n, seed), pattern_reference(n, seed))
+          << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
+TEST(Pattern, BothFormsRejectEveryOneBitFlip) {
+  // 77 bytes: the 8-byte tag, eight whole 8-byte blocks and a 5-byte
+  // tail.
+  const Bytes good = make_pattern(77, 0xABCD);
+  for (std::size_t at = 0; at < good.size(); ++at) {
+    Bytes p = good;
+    p[at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+    EXPECT_FALSE(verify_pattern(p)) << "byte " << at;
+    EXPECT_FALSE(verify_pattern(p, 0xABCD)) << "byte " << at;
+  }
+}
+
+TEST(Pattern, BothFormsRejectLengthChanges) {
+  // A cut to 9 bytes would leave one stream byte, which matches by
+  // chance one time in 256; these cuts leave at least a whole block.
+  const Bytes good = make_pattern(77, 0xABCD);
+  for (const std::size_t len : {std::size_t{16}, std::size_t{40},
+                                std::size_t{72}, std::size_t{76}}) {
+    const Bytes cut(good.data(), good.data() + len);
+    EXPECT_FALSE(verify_pattern(cut)) << "len " << len;
+    EXPECT_FALSE(verify_pattern(cut, 0xABCD)) << "len " << len;
+  }
+  Bytes longer = good;
+  longer.push_back(good.back());
+  EXPECT_FALSE(verify_pattern(longer));
+  EXPECT_FALSE(verify_pattern(longer, 0xABCD));
+}
+
+TEST(Pattern, StrictFormRejectsWrongSeed) {
+  const Bytes p = make_pattern(77, 0xABCD);
+  EXPECT_FALSE(verify_pattern(p, 0xABCE));
+  EXPECT_FALSE(verify_pattern(p, 0xABCDull | (1ull << 63)));
+}
+
+TEST(Pattern, UpToEightBytesIsAllTagAndVerifiesVacuously) {
+  // The self-identifying form reads its seed from the first 8 bytes, so
+  // an SDU of 8 bytes or fewer has nothing left to check: any content
+  // verifies. One byte more and the stream is checked.
+  for (std::size_t n = 0; n <= 8; ++n) {
+    EXPECT_TRUE(verify_pattern(Bytes(n, 0x5A))) << n;
+    EXPECT_TRUE(verify_pattern(make_pattern(n, 0xABCD))) << n;
+  }
+  Bytes nine = make_pattern(9, 0xABCD);
+  EXPECT_TRUE(verify_pattern(nine));
+  nine[8] ^= 1;
+  EXPECT_FALSE(verify_pattern(nine));
 }
 
 TEST(FrameSegmenter, DispatchesBothAals) {

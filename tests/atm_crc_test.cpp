@@ -1,6 +1,7 @@
-// Payload CRC tests: CRC-32 against published vectors, CRC-10 against a
-// bit-serial reference implementation, incremental use, and error
-// detection properties.
+// Payload CRC tests: CRC-32 against published vectors and a bit-serial
+// reference (every head alignment and tail length of the slicing-by-8
+// kernel), CRC-10 against a bit-serial reference, incremental use, and
+// error detection properties.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,26 @@ std::uint16_t crc10_reference(std::span<const std::uint8_t> data) {
   return reg;
 }
 
+// Bit-serial CRC-32 reference: reflected 0xEDB88320, init and final
+// XOR 0xFFFFFFFF.
+std::uint32_t crc32_reference(std::span<const std::uint8_t> data) {
+  std::uint32_t reg = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    reg ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      reg = (reg & 1u) ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+    }
+  }
+  return reg ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<std::uint8_t> data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return data;
+}
+
 TEST(Crc32, CheckValue123456789) {
   // The canonical CRC-32 check value.
   const auto data = bytes_of("123456789");
@@ -55,6 +76,38 @@ TEST(Crc32, IncrementalEqualsOneShot) {
   inc.update(std::span<const std::uint8_t>(data.data() + 7,
                                            data.size() - 7));
   EXPECT_EQ(inc.value(), crc32(data));
+}
+
+TEST(Crc32, MatchesBitSerialAtEveryOffsetAndLength) {
+  // Start offsets 0..7 give every head alignment of the 8-byte loads;
+  // lengths 0..80 give every tail length several times over.
+  const auto buf = random_bytes(8 + 80, 11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), crc32_reference(data))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitSerialOnLargeBuffers) {
+  for (const std::size_t len : {std::size_t{9180}, std::size_t{65535}}) {
+    const auto data = random_bytes(len, len);
+    EXPECT_EQ(crc32(data), crc32_reference(data)) << "len=" << len;
+  }
+}
+
+TEST(Crc32, SplitAtEveryOffsetEqualsOneShot) {
+  const auto data = random_bytes(100, 12);
+  const std::uint32_t whole = crc32(data);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    Crc32 inc;
+    inc.update(std::span<const std::uint8_t>(data.data(), cut));
+    inc.update(std::span<const std::uint8_t>(data.data() + cut,
+                                             data.size() - cut));
+    EXPECT_EQ(inc.value(), whole) << "cut=" << cut;
+  }
 }
 
 TEST(Crc32, ResetRestartsState) {

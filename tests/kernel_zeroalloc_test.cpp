@@ -3,11 +3,12 @@
 //
 // The kernel overhaul's core claim: once the arena, heap, FIFOs and
 // reassembly buffers are warm, scheduling/firing events and moving a
-// cell through the TX and RX paths never touches the allocator. Same
-// operator-new counting hook as telemetry_test — the binary is single-
-// threaded, so a plain counter suffices. Windows are chosen to sit
-// strictly inside a PDU (per-PDU work — staging, delivery, completion
-// — is allowed to allocate; per-cell work is not).
+// cell through the TX and RX paths never touches the allocator; nor
+// does checking a delivered SDU's test pattern. Same operator-new
+// counting hook as telemetry_test — the binary is single-threaded, so a
+// plain counter suffices. Windows are chosen to sit strictly inside a
+// PDU (per-PDU work — staging, delivery, completion — is allowed to
+// allocate; per-cell work is not).
 
 #include <gtest/gtest.h>
 
@@ -203,6 +204,19 @@ TEST(KernelZeroAlloc, RxMidPduCellPathAllocatesNothing) {
       << "RX per-cell reassembly path hit the allocator";
   sim.run_until(sim.now() + sim::milliseconds(10));
   EXPECT_EQ(delivered, 2u);
+}
+
+// --- Host verify ----------------------------------------------------
+
+TEST(KernelZeroAlloc, VerifyPatternAllocatesNothing) {
+  const aal::Bytes sdu = aal::make_pattern(9180, 0xC0FFEE);
+  const std::uint64_t before = g_allocations;
+  const bool self_identified = aal::verify_pattern(sdu);
+  const bool strict = aal::verify_pattern(sdu, 0xC0FFEE);
+  EXPECT_EQ(g_allocations - before, 0u)
+      << "verify_pattern hit the allocator";
+  EXPECT_TRUE(self_identified);
+  EXPECT_TRUE(strict);
 }
 
 }  // namespace
