@@ -15,6 +15,7 @@ using namespace hni;
 
 int main(int argc, char** argv) {
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   double goodput_64 = 0.0, dropped_24 = 0.0;
   std::printf(
       "A1: cell loss vs RX FIFO depth. Poisson 9180-byte PDUs at ~60%% "
@@ -27,9 +28,10 @@ int main(int argc, char** argv) {
                  "PDUs errored", "PDUs ok", "goodput Mb/s"});
   for (std::size_t depth : {4u, 8u, 16u, 24u, 32u, 64u, 128u}) {
     core::P2pConfig cfg;
-    cfg.traffic.mode = net::SduSource::Mode::kPoisson;
-    cfg.traffic.sdu_bytes = 9180;
-    cfg.traffic.interval = sim::microseconds(230);  // ~0.6 load
+    net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+    traffic.mode = net::SduSource::Mode::kPoisson;
+    traffic.sdu_bytes = 9180;
+    traffic.interval = sim::microseconds(230);  // ~0.6 load
     cfg.station.nic.line = atm::sts12c();
     cfg.station.nic.with_clock(50e6);
     cfg.station.nic.rx.engine.clock_hz = 28e6;  // marginal service rate
@@ -40,6 +42,7 @@ int main(int argc, char** argv) {
     cfg.warmup = sim::milliseconds(2);
     cfg.measure = sim::milliseconds(cli.smoke ? 10 : 40);
     const auto r = core::run_p2p(cfg);
+    audit_clean = audit_clean && r.audit_clean;
     if (depth == 64) goodput_64 = r.goodput_bps;
     if (depth == 24) dropped_24 = static_cast<double>(r.cells_fifo_dropped);
     t.add_row({core::Table::integer(depth),
@@ -62,5 +65,5 @@ int main(int argc, char** argv) {
   json.rate("a1_fifo/goodput_bytes_per_s_depth64", goodput_64 / 8.0);
   json.cost("a1_fifo/cells_dropped_depth24", dropped_24);
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

@@ -17,6 +17,7 @@ using namespace hni;
 
 int main(int argc, char** argv) {
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   // Smoke brackets the engine-bound/line-bound crossover (~31 MHz).
   const std::vector<double> clocks =
       cli.smoke ? std::vector<double>{12.5, 29.0, 33.0, 66.0}
@@ -36,8 +37,9 @@ int main(int argc, char** argv) {
   }
   for (double mhz : clocks) {
     core::P2pConfig cfg;
-    cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-    cfg.traffic.sdu_bytes = 9180;
+    net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+    traffic.mode = net::SduSource::Mode::kGreedy;
+    traffic.sdu_bytes = 9180;
     cfg.station.nic.line = atm::sts12c();
     cfg.station.nic.with_clock(mhz * 1e6);
     cfg.station.host.cpu.clock_hz = 400e6;
@@ -46,6 +48,7 @@ int main(int argc, char** argv) {
     cfg.warmup = sim::milliseconds(1);
     cfg.measure = sim::milliseconds(8);
     const auto r = core::run_p2p(cfg);
+    audit_clean = audit_clean && r.audit_clean;
     if (mhz == 66.0) goodput_66 = r.goodput_bps;
     t.add_row({core::Table::num(mhz, 1),
                core::Table::num(r.goodput_bps / 1e6, 1),
@@ -68,5 +71,5 @@ int main(int argc, char** argv) {
   hni::bench::JsonEmitter json("bench_a2_clock_sweep");
   json.rate("a2_clock/goodput_bytes_per_s_66MHz", goodput_66 / 8.0);
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   // Four variants x two lines at 8 ms windows; fast enough that
   // --smoke is a documented no-op.
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   double design_bps = 0.0, fw_crc_bps = 0.0;  // last pass = STS-12c
   std::printf("A3: hardware-assist ablation (greedy 9180-byte AAL5 PDUs, "
               "33 MHz engines)\n");
@@ -45,8 +46,9 @@ int main(int argc, char** argv) {
       fw.assists.cam_lookup = v.cam;
 
       core::P2pConfig cfg;
-      cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-      cfg.traffic.sdu_bytes = 9180;
+      net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+      traffic.mode = net::SduSource::Mode::kGreedy;
+      traffic.sdu_bytes = 9180;
       cfg.station.nic.firmware = fw;
       cfg.station.nic.line = line;
       cfg.station.nic.with_clock(33e6);
@@ -56,6 +58,7 @@ int main(int argc, char** argv) {
       cfg.warmup = sim::milliseconds(1);
       cfg.measure = sim::milliseconds(8);
       const auto r = core::run_p2p(cfg);
+      audit_clean = audit_clean && r.audit_clean;
 
       if (v.crc_offload && v.cam) design_bps = r.goodput_bps;
       if (!v.crc_offload && v.cam) fw_crc_bps = r.goodput_bps;
@@ -81,5 +84,5 @@ int main(int argc, char** argv) {
   json.rate("a3_assists/fw_crc_goodput_bytes_per_s_sts12c",
             fw_crc_bps / 8.0);
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

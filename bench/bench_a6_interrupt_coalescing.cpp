@@ -17,6 +17,7 @@ using namespace hni;
 
 int main(int argc, char** argv) {
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   double uncoalesced_cpu = 0.0, latency_2ms_us = 0.0;
   std::printf("A6: interrupt coalescing window sweep (greedy 512-byte "
               "PDUs at STS-3c,\n~20 MIPS receive host)\n");
@@ -27,13 +28,15 @@ int main(int argc, char** argv) {
        {sim::Time{0}, sim::microseconds(20), sim::microseconds(100),
         sim::microseconds(500), sim::milliseconds(2)}) {
     core::P2pConfig cfg;
-    cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-    cfg.traffic.sdu_bytes = 512;
+    net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+    traffic.mode = net::SduSource::Mode::kGreedy;
+    traffic.sdu_bytes = 512;
     cfg.station.nic.rx.interrupt_coalesce = window;
     cfg.station.nic.with_clock(50e6);
     cfg.warmup = sim::milliseconds(2);
     cfg.measure = sim::milliseconds(cli.smoke ? 10 : 30);
     const auto r = core::run_p2p(cfg);
+    audit_clean = audit_clean && r.audit_clean;
     if (window == sim::Time{0}) uncoalesced_cpu = r.rx_host_cpu_util;
     if (window == sim::milliseconds(2)) latency_2ms_us = r.latency_mean_us;
 
@@ -64,5 +67,5 @@ int main(int argc, char** argv) {
   json.score("a6_coalesce/uncoalesced_host_cpu", uncoalesced_cpu);
   json.cost("a6_coalesce/latency_us_2ms_window", latency_2ms_us);
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

@@ -17,6 +17,7 @@ using namespace hni;
 
 int main(int argc, char** argv) {
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   std::printf("F1: goodput vs CS-PDU size (greedy source, AAL5)\n");
 
   // Smoke keeps the knee's endpoints and the headline 9180 point.
@@ -34,8 +35,9 @@ int main(int argc, char** argv) {
                    "efficiency", "latency us (mean)"});
     for (std::size_t sdu : sdus) {
       core::P2pConfig cfg;
-      cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-      cfg.traffic.sdu_bytes = sdu;
+      net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+      traffic.mode = net::SduSource::Mode::kGreedy;
+      traffic.sdu_bytes = sdu;
       cfg.station.nic.line = line;
       // Amortization, not overload, is under study: engines above line rate.
       cfg.station.nic.with_clock(50e6);
@@ -47,6 +49,7 @@ int main(int argc, char** argv) {
       // deliveries and quantization dominates.
       cfg.measure = sim::milliseconds(cli.smoke ? 20 : 60);
       const auto r = core::run_p2p(cfg);
+      audit_clean = audit_clean && r.audit_clean;
       if (sdu == 9180) headline_bps = r.goodput_bps;
 
       const double cells = static_cast<double>(aal::aal5_cell_count(sdu));
@@ -66,5 +69,5 @@ int main(int argc, char** argv) {
   hni::bench::JsonEmitter json("bench_f1_throughput_vs_pdu");
   json.rate("f1_goodput/sts12c_9180_bytes_per_s", headline_bps / 8.0);
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

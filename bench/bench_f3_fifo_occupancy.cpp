@@ -17,6 +17,7 @@ using namespace hni;
 
 int main(int argc, char** argv) {
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   // Smoke keeps both loss-onset sides plus the crossover neighborhood.
   const std::vector<double> clocks =
       cli.smoke ? std::vector<double>{15.0, 28.0, 33.0, 50.0}
@@ -30,8 +31,9 @@ int main(int argc, char** argv) {
                  "fifo max", "cells dropped", "goodput Mb/s"});
   for (double mhz : clocks) {
     core::P2pConfig cfg;
-    cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-    cfg.traffic.sdu_bytes = 9180;
+    net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+    traffic.mode = net::SduSource::Mode::kGreedy;
+    traffic.sdu_bytes = 9180;
     cfg.station.nic.line = atm::sts12c();
     cfg.station.nic.with_clock(50e6);  // TX side always fast
     cfg.station.nic.rx.engine.clock_hz = mhz * 1e6;
@@ -41,6 +43,7 @@ int main(int argc, char** argv) {
     cfg.warmup = sim::milliseconds(1);
     cfg.measure = sim::milliseconds(8);
     const auto r = core::run_p2p(cfg);
+    audit_clean = audit_clean && r.audit_clean;
     if (mhz == 50.0) headline_bps = r.goodput_bps;
 
     // Middle-cell service time vs the 707.8 ns slot.
@@ -68,5 +71,5 @@ int main(int argc, char** argv) {
   hni::bench::JsonEmitter json("bench_f3_fifo_occupancy");
   json.rate("f3_fifo/goodput_bytes_per_s_50MHz", headline_bps / 8.0);
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

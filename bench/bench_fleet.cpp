@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
   for (const std::string& file : spec_files) {
     ScenarioSpec s;
     if (!hni::core::load_scenario_file(file, s, error)) {
-      std::fprintf(stderr, "bench_fleet: %s: %s\n", file.c_str(),
-                   error.c_str());
+      std::fprintf(stderr, "bench_fleet: %s\n", error.c_str());
       return 2;
     }
     matrix.push_back(s);

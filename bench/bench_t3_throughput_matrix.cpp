@@ -16,6 +16,7 @@ using namespace hni;
 
 int main(int argc, char** argv) {
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
+  bool audit_clean = true;  // every run_p2p balanced its books
   std::printf("T3: achievable throughput, greedy 9180-byte PDUs\n");
   hni::bench::JsonEmitter json("bench_t3_throughput_matrix");
 
@@ -30,9 +31,10 @@ int main(int argc, char** argv) {
       for (double mhz : {25.0, 33.0, 50.0}) {
         if (cli.smoke && mhz == 33.0) continue;  // keep the endpoints
         core::P2pConfig cfg;
+        net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
         cfg.aal = aal;
-        cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-        cfg.traffic.sdu_bytes = 9180;
+        traffic.mode = net::SduSource::Mode::kGreedy;
+        traffic.sdu_bytes = 9180;
         cfg.station.nic.line = line;
         cfg.station.nic.with_clock(mhz * 1e6);
         // The host must not be the bottleneck in this experiment.
@@ -43,6 +45,8 @@ int main(int argc, char** argv) {
         cfg.measure = sim::milliseconds(12);
 
         const auto r = core::run_p2p(cfg);
+
+        audit_clean = audit_clean && r.audit_clean;
         const double cells =
             static_cast<double>(aal::FrameSegmenter::cell_count(aal, 9180));
         const double ceiling =
@@ -75,5 +79,5 @@ int main(int argc, char** argv) {
       "through — overload at the cell layer is\ncatastrophic at the frame "
       "layer, which is why the engine must be provisioned for the line.\n");
   json.write_or_die(cli.json);
-  return 0;
+  return audit_clean ? 0 : 1;
 }

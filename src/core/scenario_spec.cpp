@@ -133,6 +133,15 @@ bool parse_source(const std::string& value, TrafficSpec& out,
       return false;
     }
   }
+  // The receiver reads each SDU's index from its first 8 bytes.
+  if (out.sdu_bytes < 8) {
+    error = "source sdu must be at least 8 bytes";
+    return false;
+  }
+  if (out.kind != TrafficSpec::Kind::kGreedy && !(out.rate_mbps > 0)) {
+    error = "source rate_mbps must be positive";
+    return false;
+  }
   return true;
 }
 
@@ -394,6 +403,11 @@ void evaluate_acceptance(const ScenarioSpec& spec, ScenarioResult& r) {
   if (a.min_goodput_mbps > 0 && r.goodput_mbps < a.min_goodput_mbps) {
     miss("goodput %.2f Mb/s below floor %.2f", r.goodput_mbps,
          a.min_goodput_mbps);
+  }
+  // Always on: the ratio counts in-window SDUs only, so above 1 means
+  // the window books themselves are wrong.
+  if (r.delivery_ratio > 1.0) {
+    miss("delivery ratio %.3f above 1", r.delivery_ratio);
   }
   if (a.min_delivery_ratio > 0 && r.delivery_ratio < a.min_delivery_ratio) {
     miss("delivery ratio %.3f below floor %.3f", r.delivery_ratio,

@@ -9,10 +9,11 @@
 // floors, delivery-ratio floors, latency ceilings, Jain floors, clean
 // conservation audit, golden digests, same-seed determinism).
 //
-// This header is pure data + text codec + acceptance arithmetic; the
-// machinery that builds a core::Testbed/sig::SignalingNetwork from a
-// spec and runs it lives in sig::run_scenario (src/sig/fleet.hpp) so
-// the core library stays below the signalling layer.
+// This header is pure data + text codec + acceptance arithmetic. The
+// runner, sig::run_scenario (src/sig/fleet.hpp), translates a p2p spec
+// onto core::run_p2p and builds the switched topologies over a
+// sig::SignalingNetwork, so the core library stays below the
+// signalling layer.
 //
 // Text format: `key = value` lines, '#' comments, unknown keys are
 // hard errors (a typo must not silently run a different scenario).
@@ -70,7 +71,10 @@ struct FaultSpec {
 /// check; the audit check is on unless explicitly waived.
 struct AcceptanceSpec {
   double min_goodput_mbps = 0.0;   // total delivered payload rate
-  double min_delivery_ratio = 0.0; // delivered/offered bytes in-window
+  /// Of the SDU payload generated inside the window, the share
+  /// delivered by the end of the drain (never above 1; a result above 1
+  /// fails acceptance even with no floor set).
+  double min_delivery_ratio = 0.0;
   double max_latency_us = 0.0;     // mean in-network latency ceiling
   double min_jain = 0.0;           // weight-normalised Jain floor
   bool audit_clean = true;         // conservation books must balance
@@ -162,10 +166,9 @@ void evaluate_acceptance(const ScenarioSpec& spec, ScenarioResult& result);
 /// Jain's fairness index over `xs`; 1.0 for empty input.
 double jain_index(const std::vector<double>& xs);
 
-/// FNV-1a 64-bit digest over typed words — the same construction the
-/// golden-determinism tests use, shared so fleet digests and test
-/// digests stay comparable in spirit (not in value: the fold inputs
-/// differ per consumer).
+/// FNV-1a 64-bit digest over typed words: the one digest the fleet,
+/// the golden-determinism tests and hostbench all fold into (each with
+/// its own inputs; core::fold_trace is the shared trace fold).
 class Digest {
  public:
   void fold(std::uint64_t word) {

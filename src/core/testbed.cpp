@@ -1,5 +1,6 @@
 #include "core/testbed.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -18,6 +19,11 @@ std::string Testbed::switch_label(const net::Switch* sw) const {
     if (switches_[i].get() == sw) return "switch." + std::to_string(i);
   }
   return "switch.?";
+}
+
+bool Testbed::hosts_sending() const {
+  return std::any_of(stations_.begin(), stations_.end(),
+                     [](const auto& s) { return s->host().inflight_tx() > 0; });
 }
 
 InvariantAuditor Testbed::audit(bool include_hops) {

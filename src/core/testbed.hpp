@@ -92,6 +92,10 @@ class Testbed {
   /// Advances simulated time by `duration`.
   void run_for(sim::Time duration) { sim_.run_until(sim_.now() + duration); }
 
+  /// Whether any station's host still has SDUs in flight to its NIC
+  /// (accepted by send(), not yet completed).
+  bool hosts_sending() const;
+
   /// Runs the invariant auditor over every station; with
   /// `include_hops`, also audits each connect()ed wire hop (only valid
   /// once the event queue has run dry — cells in flight are on

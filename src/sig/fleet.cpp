@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "atm/phy.hpp"
-#include "core/testbed.hpp"
+#include "core/scenario.hpp"
 #include "net/traffic.hpp"
 #include "sig/network.hpp"
 
@@ -105,184 +105,30 @@ net::SwitchConfig switch_config(const ScenarioSpec& spec, std::size_t ports) {
   return swc;
 }
 
-// Everything one measurement window accumulates, shared by both the
-// p2p and the signalled topologies.
-struct Meas {
-  std::vector<std::uint64_t> bytes;       // per flow, cumulative
-  bool measuring = false;
-  double lat_sum_us = 0, lat_max_us = 0;
-  std::uint64_t lat_n = 0;
-
-  explicit Meas(std::size_t flows) : bytes(flows, 0) {}
-
-  void deliver(std::size_t flow, std::size_t size, double latency_us) {
-    if (flow >= bytes.size()) return;
-    bytes[flow] += size;
-    if (!measuring) return;
-    lat_sum_us += latency_us;
-    lat_max_us = std::max(lat_max_us, latency_us);
-    ++lat_n;
-  }
-};
-
-void finish_result(const ScenarioSpec& spec, ScenarioResult& r,
-                   const std::vector<std::uint64_t>& window_bytes,
-                   std::uint64_t offered_bytes, const Meas& meas,
-                   sim::Time window) {
-  const double secs = sim::to_seconds(window);
-  std::uint64_t total = 0;
-  std::vector<double> normalised;
-  for (std::size_t i = 0; i < window_bytes.size(); ++i) {
-    total += window_bytes[i];
-    const double mbps =
-        static_cast<double>(window_bytes[i]) * 8.0 / secs / 1e6;
-    r.per_flow_mbps.push_back(mbps);
-    normalised.push_back(mbps / spec.traffic[i].weight);
-  }
-  r.goodput_mbps = static_cast<double>(total) * 8.0 / secs / 1e6;
-  r.offered_mbps = static_cast<double>(offered_bytes) * 8.0 / secs / 1e6;
-  r.delivery_ratio = offered_bytes > 0
-                         ? static_cast<double>(total) /
-                               static_cast<double>(offered_bytes)
-                         : 0.0;
-  r.jain_weighted = core::jain_index(normalised);
-  if (meas.lat_n > 0) {
-    r.latency_mean_us = meas.lat_sum_us / static_cast<double>(meas.lat_n);
-    r.latency_max_us = meas.lat_max_us;
-  }
-}
-
-void fold_run(core::Digest& d, const std::vector<sim::TraceEvent>& trace,
-              core::Testbed& bed,
-              const std::vector<std::uint64_t>& window_bytes) {
-  d.fold(trace.size());
-  for (const sim::TraceEvent& ev : trace) {
-    d.fold(static_cast<std::uint64_t>(ev.when));
-    d.fold(static_cast<std::uint64_t>(ev.id) << 32 |
-           static_cast<std::uint64_t>(ev.source));
-    d.fold(static_cast<std::uint64_t>(ev.a) << 32 |
-           static_cast<std::uint64_t>(ev.b));
-    d.fold(ev.seq);
-  }
-  d.fold_string(bed.metrics().to_json());
-  for (const std::uint64_t b : window_bytes) d.fold(b);
-}
-
-/// Square-wave outage on a duplex link pair over the traffic window.
-void schedule_flaps(core::Testbed& bed, const ScenarioSpec& spec,
-                    net::Link* ab, net::Link* ba, sim::Time window) {
-  if (spec.fault.flap_period <= 0 || ab == nullptr) return;
-  for (sim::Time cut = 0; cut + spec.fault.flap_down <= window;
-       cut += spec.fault.flap_period) {
-    bed.sim().after(cut, [ab, ba] {
-      ab->set_down(true);
-      if (ba != nullptr) ba->set_down(true);
-    });
-    bed.sim().after(cut + spec.fault.flap_down, [ab, ba] {
-      ab->set_down(false);
-      if (ba != nullptr) ba->set_down(false);
-    });
-  }
-}
-
-ScenarioResult run_p2p(const ScenarioSpec& spec, bool smoke,
-                       bool want_digest) {
-  ScenarioResult r;
-  const std::size_t n = spec.traffic.size();
-  std::size_t greedy = 0;
-  for (const TrafficSpec& t : spec.traffic) {
-    if (t.kind == TrafficSpec::Kind::kGreedy) ++greedy;
-  }
-  if (greedy > 1) {
-    r.setup_error = "p2p supports at most one greedy source";
-    return r;
-  }
-
-  core::Testbed bed;
-  std::vector<sim::TraceEvent> trace;
-  if (want_digest) bed.tracer().collect_into(trace);
-
-  core::StationConfig stc;
+// The p2p topology is a translation onto the one two-station runner.
+core::P2pConfig p2p_config(const ScenarioSpec& spec, bool smoke,
+                           bool want_digest) {
+  core::P2pConfig cfg;
   if (spec.sts12) {
-    stc.nic.line = atm::sts12c();
-    stc.nic.with_clock(50e6);
-    stc.host.cpu.clock_hz = 400e6;
-    stc.host.cpu.cpi = 1.0;
-    stc.host.max_inflight_tx = 64;
+    cfg.station.nic.line = atm::sts12c();
+    cfg.station.nic.with_clock(50e6);
+    cfg.station.host.cpu.clock_hz = 400e6;
+    cfg.station.host.cpu.cpi = 1.0;
+    cfg.station.host.max_inflight_tx = 64;
   }
-  stc.name = "fleet-tx";
-  core::Station& a = bed.add_station(stc);
-  stc.name = "fleet-rx";
-  core::Station& b = bed.add_station(stc);
-
-  net::LossModel loss;
-  loss.cell_loss_rate = spec.fault.cell_loss_rate;
-  loss.mean_burst_cells = spec.fault.loss_burst_cells;
-  const auto [ab, ba] = bed.connect(a, b, loss);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const atm::VcId vc{0, static_cast<std::uint16_t>(32 + i)};
-    a.nic().open_vc(vc, aal::AalType::kAal5);
-    b.nic().open_vc(vc, aal::AalType::kAal5);
-    if (spec.traffic[i].pcr_mbps > 0) {
-      a.nic().tx().set_shaper(vc, mbps_to_cells(spec.traffic[i].pcr_mbps),
-                              sim::microseconds(3));
-    }
+  cfg.vc = {0, 32};
+  for (std::size_t i = 0; i < spec.traffic.size(); ++i) {
+    cfg.flows.push_back({source_config(spec, spec.traffic[i], i),
+                         mbps_to_cells(spec.traffic[i].pcr_mbps)});
   }
-
-  Meas meas(n);
-  b.host().set_rx_handler([&](aal::Bytes sdu, const host::RxInfo& info) {
-    const std::size_t flow = static_cast<std::size_t>(info.vc.vci) - 32;
-    meas.deliver(flow, sdu.size(),
-                 sim::to_microseconds(info.handed_up_time -
-                                      info.first_cell_time));
-  });
-
-  std::vector<std::shared_ptr<net::SduSource>> gens;
-  for (std::size_t i = 0; i < n; ++i) {
-    const atm::VcId vc{0, static_cast<std::uint16_t>(32 + i)};
-    gens.push_back(std::make_shared<net::SduSource>(
-        bed.sim(), source_config(spec, spec.traffic[i], i),
-        [&a, vc](aal::Bytes sdu) {
-          return a.host().send(vc, aal::AalType::kAal5, std::move(sdu));
-        }));
-  }
-  a.host().set_tx_ready([&gens] {
-    for (auto& g : gens) g->notify_ready();
-  });
-  for (auto& g : gens) g->start();
-
-  const sim::Time window = spec.measure_window(smoke);
-  schedule_flaps(bed, spec, ab, ba, spec.warmup + window);
-
-  bed.run_for(spec.warmup);
-  const std::vector<std::uint64_t> bytes0 = meas.bytes;
-  std::uint64_t offered0 = 0;
-  for (const auto& g : gens) offered0 += g->bytes_offered();
-  meas.measuring = true;
-
-  bed.run_for(window);
-  std::vector<std::uint64_t> window_bytes = meas.bytes;
-  for (std::size_t i = 0; i < n; ++i) window_bytes[i] -= bytes0[i];
-  std::uint64_t offered = 0;
-  for (const auto& g : gens) offered += g->bytes_offered();
-  offered -= offered0;
-  meas.measuring = false;
-
-  for (auto& g : gens) g->stop();
-  bed.run_for(sim::milliseconds(10));  // drain in-flight cells
-
-  r.ran = true;
-  finish_result(spec, r, window_bytes, offered, meas, window);
-  auto auditor = bed.audit(/*include_hops=*/true);
-  r.audit_clean = auditor.ok();
-  if (!auditor.ok()) std::fputs(auditor.report().c_str(), stderr);
-  if (want_digest) {
-    core::Digest d;
-    fold_run(d, trace, bed, window_bytes);
-    r.digest = d.hex();
-  }
-  return r;
+  cfg.loss.cell_loss_rate = spec.fault.cell_loss_rate;
+  cfg.loss.mean_burst_cells = spec.fault.loss_burst_cells;
+  cfg.flap_period = spec.fault.flap_period;
+  cfg.flap_down = spec.fault.flap_down;
+  cfg.warmup = spec.warmup;
+  cfg.measure = spec.measure_window(smoke);
+  cfg.digest = want_digest;
+  return cfg;
 }
 
 ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
@@ -376,7 +222,7 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
 
   // The sink accepts everything and maps each accepted call's VC back
   // to the caller's flow index (party 1+i).
-  Meas meas(n);
+  core::Meas meas(n);
   std::unordered_map<std::uint16_t, std::size_t> vci_flow;
   cc_sink.set_incoming(
       [](const CallControl::CallInfo&) { return true; },
@@ -401,8 +247,8 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   std::vector<std::uint32_t> call_ids(n, 0);
   std::vector<unsigned> attempts(n, 0);
   bool tearing_down = false;
-  auto place = std::make_shared<std::function<void(std::size_t)>>();
-  *place = [&, place](std::size_t i) {
+  std::function<void(std::size_t)> place;
+  place = [&](std::size_t i) {
     const TrafficSpec& t = spec.traffic[i];
     TrafficDescriptor td;
     td.pcr_cells_per_second = mbps_to_cells(t.pcr_mbps);
@@ -414,17 +260,17 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
         [&src_vc, i](const CallControl::CallInfo& info) {
           src_vc[i] = info.vc;
         },
-        [&, place, i](std::uint32_t, Cause) {
-          if (!tearing_down && ++attempts[i] < 64) (*place)(i);
+        [&, i](std::uint32_t, Cause) {
+          if (!tearing_down && ++attempts[i] < 64) place(i);
         });
   };
   for (std::size_t i = 0; i < n; ++i) {
     cc_src[i]->set_released(
-        [&, place, i](const CallControl::CallInfo&, Cause) {
+        [&, i](const CallControl::CallInfo&, Cause) {
           src_vc[i].reset();
-          if (!tearing_down && ++attempts[i] < 64) (*place)(i);
+          if (!tearing_down && ++attempts[i] < 64) place(i);
         });
-    (*place)(i);
+    place(i);
   }
 
   sim::Time grace = sim::milliseconds(10);
@@ -442,50 +288,33 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   sink.host().set_rx_handler([&](aal::Bytes sdu, const host::RxInfo& info) {
     const auto it = vci_flow.find(info.vc.vci);
     if (it == vci_flow.end()) return;
-    meas.deliver(it->second, sdu.size(),
-                 sim::to_microseconds(info.handed_up_time -
-                                      info.first_cell_time));
+    meas.deliver(it->second, sdu, info);
   });
 
-  std::vector<std::shared_ptr<net::SduSource>> gens;
+  core::Meas::Sources gens;
   for (std::size_t i = 0; i < n; ++i) {
     core::Station* st = srcs[i];
     // Send to whatever VC the flow's *current* call carries: after a
     // chaos-reclaimed call re-establishes, traffic follows. Refusals
     // while disconnected count as offered-load drops.
-    gens.push_back(std::make_shared<net::SduSource>(
+    gens.push_back(std::make_unique<net::SduSource>(
         bed.sim(), source_config(spec, spec.traffic[i], i),
         [st, &src_vc, i](aal::Bytes sdu) {
           if (!src_vc[i]) return false;
           return st->host().send(*src_vc[i], aal::AalType::kAal5,
                                  std::move(sdu));
         }));
-    st->host().set_tx_ready([g = gens.back()] { g->notify_ready(); });
+    st->host().set_tx_ready([g = gens.back().get()] { g->notify_ready(); });
     gens.back()->start();
   }
 
   const sim::Time window = spec.measure_window(smoke);
   if (nsw > 1) {
     const auto [ab, ba] = net.trunk_links(flap_trunk);
-    schedule_flaps(bed, spec, ab, ba, spec.warmup + window);
+    core::schedule_flaps(bed, spec.fault.flap_period, spec.fault.flap_down,
+                         ab, ba, spec.warmup + window);
   }
-
-  bed.run_for(spec.warmup);
-  const std::vector<std::uint64_t> bytes0 = meas.bytes;
-  std::uint64_t offered0 = 0;
-  for (const auto& g : gens) offered0 += g->bytes_offered();
-  meas.measuring = true;
-
-  bed.run_for(window);
-  std::vector<std::uint64_t> window_bytes = meas.bytes;
-  for (std::size_t i = 0; i < n; ++i) window_bytes[i] -= bytes0[i];
-  std::uint64_t offered = 0;
-  for (const auto& g : gens) offered += g->bytes_offered();
-  offered -= offered0;
-  meas.measuring = false;
-
-  for (auto& g : gens) g->stop();
-  bed.run_for(sim::milliseconds(10));  // drain switch queues
+  meas.run(bed, gens, spec.warmup, window);
   tearing_down = true;
   for (std::size_t i = 0; i < n; ++i) {
     if (src_vc[i]) cc_src[i]->release(call_ids[i]);
@@ -493,7 +322,7 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   bed.run_for(sim::milliseconds(25));  // release handshakes + audit sweep
 
   r.ran = true;
-  finish_result(spec, r, window_bytes, offered, meas, window);
+  core::finish_result(spec, r, meas.books());
   r.reroutes = net.reroutes();
   r.stranded = net.stranded_vcis() + net.stranded_routes();
   auto auditor = bed.audit(/*include_hops=*/true);
@@ -502,7 +331,7 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   if (!auditor.ok()) std::fputs(auditor.report().c_str(), stderr);
   if (want_digest) {
     core::Digest d;
-    fold_run(d, trace, bed, window_bytes);
+    core::fold_run(d, trace, bed, meas.books().flow_bytes);
     r.digest = d.hex();
   }
   return r;
@@ -510,15 +339,29 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
 
 ScenarioResult run_once(const ScenarioSpec& spec, bool smoke,
                         bool want_digest) {
+  ScenarioResult r;
   if (spec.traffic.empty()) {
-    ScenarioResult r;
     r.setup_error = "no traffic sources";
     return r;
   }
-  if (spec.topology == ScenarioSpec::Topology::kP2p) {
-    return run_p2p(spec, smoke, want_digest);
+  if (spec.topology != ScenarioSpec::Topology::kP2p) {
+    return run_switched(spec, smoke, want_digest);
   }
-  return run_switched(spec, smoke, want_digest);
+  const auto greedy = std::count_if(
+      spec.traffic.begin(), spec.traffic.end(), [](const TrafficSpec& t) {
+        return t.kind == TrafficSpec::Kind::kGreedy;
+      });
+  if (greedy > 1) {
+    r.setup_error = "p2p supports at most one greedy source";
+    return r;
+  }
+  const core::P2pResult p =
+      core::run_p2p(p2p_config(spec, smoke, want_digest));
+  r.ran = true;
+  core::finish_result(spec, r, p.window);
+  r.audit_clean = p.audit_clean;
+  r.digest = p.digest;
+  return r;
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // One function replaces the copy-pasted setup blocks of the bench
 // suite:
 //
-//   * p2p       two stations over a duplex link (optionally lossy or
-//               flapping); per-flow VCs opened directly.
+//   * p2p       a translation onto core::run_p2p, the one two-station
+//               runner the paper benches use too: a duplex link
+//               (optionally lossy or flapping), one VC per flow.
 //   * mux       N source stations into one switch, one sink station —
 //               the overload/fairness plant. Calls are *signalled*
 //               (SETUP/CONNECT through the agent), so contracts,
@@ -18,9 +19,13 @@
 //               switch 1, a standby path through switch 2; the first
 //               trunk (0<->1) takes the flap schedule.
 //
-// Acceptance is evaluated in-process (core::evaluate_acceptance); a
-// digest over the full trace stream + telemetry snapshot is computed
-// when the spec asks for golden or determinism checking.
+// Every topology measures through the one window, core::Meas: warmup,
+// the measured window, then stop, drain and the full conservation
+// audit. Delivery counts only SDUs generated inside the window, so it
+// never exceeds 1. Acceptance is evaluated in-process
+// (core::evaluate_acceptance); a digest over the full trace stream +
+// telemetry snapshot is computed when the spec asks for golden or
+// determinism checking.
 
 #pragma once
 

@@ -50,8 +50,9 @@ TEST(Testbed, RunForAdvancesClock) {
 
 TEST(RunP2p, GreedyAal5ReachesLineRate) {
   P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-  cfg.traffic.sdu_bytes = 9180;
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 9180;
   cfg.warmup = sim::milliseconds(2);
   cfg.measure = sim::milliseconds(20);
   const P2pResult r = run_p2p(cfg);
@@ -70,8 +71,9 @@ TEST(RunP2p, GreedyAal5ReachesLineRate) {
 
 TEST(RunP2p, Aal34CarriesLessGoodput) {
   P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-  cfg.traffic.sdu_bytes = 9180;
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 9180;
   cfg.measure = sim::milliseconds(10);
   P2pConfig cfg34 = cfg;
   cfg34.aal = aal::AalType::kAal34;
@@ -85,8 +87,9 @@ TEST(RunP2p, Aal34CarriesLessGoodput) {
 
 TEST(RunP2p, LossyLinkProducesErroredPdus) {
   P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-  cfg.traffic.sdu_bytes = 9180;
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 9180;
   cfg.loss.cell_loss_rate = 0.001;
   cfg.measure = sim::milliseconds(20);
   const P2pResult r = run_p2p(cfg);
@@ -97,15 +100,49 @@ TEST(RunP2p, LossyLinkProducesErroredPdus) {
 
 TEST(RunP2p, OpenLoopPoissonUnderload) {
   P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kPoisson;
-  cfg.traffic.sdu_bytes = 1000;
-  cfg.traffic.interval = sim::microseconds(500);  // ~16 Mb/s offered
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kPoisson;
+  traffic.sdu_bytes = 1000;
+  traffic.interval = sim::microseconds(500);  // ~16 Mb/s offered
   cfg.measure = sim::milliseconds(20);
   const P2pResult r = run_p2p(cfg);
   // Underload: everything offered is delivered.
   EXPECT_NEAR(r.goodput_bps, r.offered_bps, 0.1 * r.offered_bps);
   EXPECT_EQ(r.cells_fifo_dropped, 0u);
   EXPECT_LT(r.rx_engine_util, 0.5);
+}
+
+TEST(RunP2p, ShapedFlowsKeepSeparateBooks) {
+  // Two CBR flows offered well above their PCR contracts: each VC is
+  // held to its own shaper, and the per-flow window books add up.
+  constexpr double kPcrMbps[] = {20.0, 10.0};
+  P2pConfig cfg;
+  for (const sim::Time interval :
+       {sim::microseconds(200), sim::microseconds(300)}) {
+    P2pFlow& f = cfg.flows.emplace_back();
+    f.source.mode = net::SduSource::Mode::kCbr;
+    f.source.sdu_bytes = 1500;
+    f.source.interval = interval;  // 60 and 40 Mb/s offered
+    f.source.seed = 7 + cfg.flows.size();
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    cfg.flows[i].pcr_cells_per_second = kPcrMbps[i] * 1e6 / (48.0 * 8.0);
+  }
+  cfg.measure = sim::milliseconds(20);
+  const P2pResult r = run_p2p(cfg);
+
+  ASSERT_EQ(r.window.flow_bytes.size(), 2u);
+  const std::uint64_t total = r.window.flow_bytes[0] + r.window.flow_bytes[1];
+  EXPECT_DOUBLE_EQ(static_cast<double>(total) * 8.0 / 0.020, r.goodput_bps);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const double mbps =
+        static_cast<double>(r.window.flow_bytes[i]) * 8.0 / 0.020 / 1e6;
+    EXPECT_LE(mbps, kPcrMbps[i]) << "flow " << i;
+    EXPECT_GT(mbps, 0.85 * kPcrMbps[i]) << "flow " << i;
+  }
+  EXPECT_LE(r.window.offered_delivered_bytes, r.window.offered_bytes);
+  EXPECT_TRUE(r.data_ok());
+  EXPECT_TRUE(r.audit_clean);
 }
 
 }  // namespace

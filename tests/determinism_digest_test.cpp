@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,54 +37,6 @@
 
 namespace hni {
 namespace {
-
-// --- FNV-1a 64-bit over typed words ---------------------------------
-
-class Digest {
- public:
-  void fold(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (word >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void fold_double(double value) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    __builtin_memcpy(&bits, &value, sizeof(bits));
-    fold(bits);
-  }
-  void fold_string(const std::string& s) {
-    for (const char c : s) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-
-  std::string hex() const {
-    std::ostringstream out;
-    out << "fnv1a64:" << std::hex;
-    out.width(16);
-    out.fill('0');
-    out << hash_;
-    return out.str();
-  }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-void fold_trace(Digest& d, const std::vector<sim::TraceEvent>& events) {
-  d.fold(events.size());
-  for (const sim::TraceEvent& ev : events) {
-    d.fold(static_cast<std::uint64_t>(ev.when));
-    d.fold(static_cast<std::uint64_t>(ev.id) << 32 |
-           static_cast<std::uint64_t>(ev.source));
-    d.fold(static_cast<std::uint64_t>(ev.a) << 32 |
-           static_cast<std::uint64_t>(ev.b));
-    d.fold(ev.seq);
-  }
-}
 
 // --- Canonical scenarios --------------------------------------------
 //
@@ -169,8 +120,8 @@ ScenarioOutput run_tandem_protection() {
   });
   bed.run_for(sim::milliseconds(12));
 
-  Digest d;
-  fold_trace(d, trace);
+  core::Digest d;
+  core::fold_trace(d, trace);
   d.fold_string(bed.metrics().to_json());
   d.fold(bed.sim().events_fired());
   d.fold(static_cast<std::uint64_t>(bed.now()));
@@ -239,8 +190,8 @@ ScenarioOutput run_canonical(const char* name) {
   source.start();
   bed.run_for(sim::milliseconds(10));
 
-  Digest d;
-  fold_trace(d, trace);
+  core::Digest d;
+  core::fold_trace(d, trace);
   // Telemetry snapshot: every counter and gauge in the scenario, in
   // registration order, names included (a renamed or vanished
   // instrument is a behaviour change too).

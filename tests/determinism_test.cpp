@@ -10,9 +10,10 @@ namespace {
 
 core::P2pResult run_once() {
   core::P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kPoisson;
-  cfg.traffic.sdu_bytes = 2000;
-  cfg.traffic.interval = sim::microseconds(300);
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kPoisson;
+  traffic.sdu_bytes = 2000;
+  traffic.interval = sim::microseconds(300);
   cfg.loss.cell_loss_rate = 0.001;
   cfg.loss.mean_burst_cells = 3.0;
   cfg.loss.cdv_jitter = sim::microseconds(2);
@@ -34,14 +35,15 @@ TEST(Determinism, IdenticalRunsIdenticalResults) {
 
 TEST(Determinism, SeedChangesOutcome) {
   core::P2pConfig a;
-  a.traffic.mode = net::SduSource::Mode::kPoisson;
-  a.traffic.sdu_bytes = 2000;
-  a.traffic.interval = sim::microseconds(300);
-  a.traffic.seed = 1;
+  net::SduSource::Config& traffic = a.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kPoisson;
+  traffic.sdu_bytes = 2000;
+  traffic.interval = sim::microseconds(300);
+  traffic.seed = 1;
   a.loss.cell_loss_rate = 0.002;
   a.measure = sim::milliseconds(20);
   core::P2pConfig b = a;
-  b.traffic.seed = 2;
+  b.flows[0].source.seed = 2;
   const auto ra = core::run_p2p(a);
   const auto rb = core::run_p2p(b);
   // Different universes: at least one observable differs.

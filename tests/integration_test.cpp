@@ -190,8 +190,9 @@ TEST(Integration, TwoSendersCongestOneSwitchPort) {
 
 TEST(Integration, WanPathCorrelatedLossStillDeliversVerifiedPdus) {
   core::P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-  cfg.traffic.sdu_bytes = 9180;
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 9180;
   cfg.loss.cell_loss_rate = 0.002;
   cfg.loss.mean_burst_cells = 5.0;
   cfg.propagation = sim::milliseconds(5);  // ~1000 km
@@ -204,8 +205,9 @@ TEST(Integration, WanPathCorrelatedLossStillDeliversVerifiedPdus) {
 
 TEST(Integration, HeaderBitErrorsMostlyCorrectedEndToEnd) {
   core::P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-  cfg.traffic.sdu_bytes = 9180;
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 9180;
   cfg.loss.header_bit_error_rate = 1e-3;
   cfg.measure = sim::milliseconds(30);
   const auto r = run_p2p(cfg);
@@ -218,8 +220,9 @@ TEST(Integration, HeaderBitErrorsMostlyCorrectedEndToEnd) {
 
 TEST(Integration, PayloadBitErrorsAreCaughtByCrc) {
   core::P2pConfig cfg;
-  cfg.traffic.mode = net::SduSource::Mode::kGreedy;
-  cfg.traffic.sdu_bytes = 9180;
+  net::SduSource::Config& traffic = cfg.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 9180;
   cfg.loss.payload_bit_error_rate = 5e-3;
   cfg.measure = sim::milliseconds(30);
   const auto r = run_p2p(cfg);
@@ -232,8 +235,9 @@ TEST(Integration, FasterEngineClockRaisesSmallPduThroughput) {
   // Single-cell PDUs put per-PDU engine work on every wire slot: a
   // 12.5 MHz engine is compute-bound there, a 50 MHz one is line-bound.
   core::P2pConfig slow;
-  slow.traffic.mode = net::SduSource::Mode::kGreedy;
-  slow.traffic.sdu_bytes = 40;  // exactly one cell under AAL5
+  net::SduSource::Config& traffic = slow.flows.emplace_back().source;
+  traffic.mode = net::SduSource::Mode::kGreedy;
+  traffic.sdu_bytes = 40;  // exactly one cell under AAL5
   slow.measure = sim::milliseconds(10);
   // Use a fast host CPU so the interface engine, not the driver
   // syscall path, is the limiting resource.

@@ -1,6 +1,6 @@
 // ScenarioSpec: text codec round-trips, hard parse errors, acceptance
-// arithmetic, and (one small simulation) same-seed determinism of the
-// fleet runner itself.
+// arithmetic, and (small simulations) same-seed determinism and honest
+// delivery books of the fleet runner itself.
 
 #include <gtest/gtest.h>
 
@@ -115,6 +115,41 @@ TEST(ScenarioCodec, FlapLongerThanPeriodIsRejected) {
   EXPECT_NE(error.find("flap_down_us"), std::string::npos) << error;
 }
 
+TEST(ScenarioCodec, SduShorterThanItsTagIsRejected) {
+  ScenarioSpec out;
+  std::string error;
+  for (const char* sdu : {"0", "7"}) {
+    EXPECT_FALSE(parse_scenario(
+        std::string("name = tiny\nsource = cbr rate_mbps=10 sdu=") + sdu +
+            "\n",
+        out, error))
+        << sdu;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("sdu"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(parse_scenario("name = ok\nsource = cbr rate_mbps=10 sdu=8\n",
+                             out, error))
+      << error;
+}
+
+TEST(ScenarioCodec, NonPositiveRateIsRejectedUnlessGreedy) {
+  ScenarioSpec out;
+  std::string error;
+  for (const char* src : {"cbr rate_mbps=0", "poisson rate_mbps=-5",
+                          "onoff rate_mbps=0"}) {
+    EXPECT_FALSE(parse_scenario(
+        std::string("name = idle\nplane = x\nsource = ") + src + "\n", out,
+        error))
+        << src;
+    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+    EXPECT_NE(error.find("rate_mbps"), std::string::npos) << error;
+  }
+  // A greedy source saturates instead; its rate is not read.
+  EXPECT_TRUE(parse_scenario(
+      "name = sat\nsource = greedy rate_mbps=0 sdu=9180\n", out, error))
+      << error;
+}
+
 TEST(ScenarioCodec, CommentsAndBlanksAreIgnored) {
   ScenarioSpec out;
   std::string error;
@@ -203,6 +238,21 @@ TEST(Acceptance, DeterminismMismatchFails) {
   EXPECT_FALSE(r.accepted());
 }
 
+TEST(Acceptance, DeliveryAboveOneFails) {
+  ScenarioSpec s;  // no delivery floor: the ceiling is always on
+  ScenarioResult r = passing_result();
+  r.delivery_ratio = 1.083;
+  evaluate_acceptance(s, r);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("above 1"), std::string::npos)
+      << r.failures[0];
+
+  ScenarioResult exact = passing_result();
+  exact.delivery_ratio = 1.0;
+  evaluate_acceptance(s, exact);
+  EXPECT_TRUE(exact.accepted());
+}
+
 TEST(Jain, KnownValues) {
   EXPECT_DOUBLE_EQ(jain_index({}), 1.0);
   EXPECT_DOUBLE_EQ(jain_index({5.0, 5.0, 5.0}), 1.0);
@@ -235,6 +285,22 @@ TEST(FleetRunner, SameSpecSameDigest) {
   reseeded.seed = 6;
   const ScenarioResult b = sig::run_scenario(reseeded, /*smoke=*/true);
   EXPECT_NE(a.digest, b.digest);
+}
+
+// Delivery counts only SDUs generated inside the window, so it cannot
+// exceed 1 — also on the two builtins where SDUs sent during warmup
+// land inside the window.
+TEST(FleetRunner, DeliveryNeverAboveOne) {
+  for (const char* name : {"determinism-p2p", "mux-sig-loss"}) {
+    ScenarioSpec s;
+    std::string error;
+    ASSERT_TRUE(sig::find_scenario(name, "", s, error)) << error;
+    const ScenarioResult r = sig::run_scenario(s, /*smoke=*/true);
+    EXPECT_TRUE(r.accepted()) << name << ": "
+                              << (r.failures.empty() ? "" : r.failures[0]);
+    EXPECT_GT(r.delivery_ratio, 0.9) << name;
+    EXPECT_LE(r.delivery_ratio, 1.0) << name;
+  }
 }
 
 }  // namespace
