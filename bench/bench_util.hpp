@@ -15,7 +15,9 @@
 //   score rows  carry "higher_is_better": true and a raw "value"
 //               (fairness indices, retention ratios);
 //   cost rows   carry "lower_is_better": true and a raw "value"
-//               (bytes/VC, time-to-restore).
+//               (bytes/VC, time-to-restore);
+//   exact rows  carry "exact": true and a raw "value" (deterministic
+//               counts such as the event census): any change fails.
 
 #pragma once
 
@@ -69,6 +71,10 @@ class JsonEmitter {
   void cost(const std::string& name, double value) {
     rows_.push_back({name, value, Kind::kCost});
   }
+  /// Deterministic figure gated for equality, in either direction.
+  void exact(const std::string& name, double value) {
+    rows_.push_back({name, value, Kind::kExact});
+  }
 
   std::string to_string() const {
     std::string out = "{\n  \"context\": {\"executable\": \"" + executable_ +
@@ -99,6 +105,13 @@ class JsonEmitter {
                         "\"real_time\": %.6g, \"time_unit\": \"ns\"}",
                         r.name.c_str(), r.value, r.value);
           break;
+        case Kind::kExact:
+          std::snprintf(buf, sizeof buf,
+                        "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
+                        "\"exact\": true, \"value\": %.10g, "
+                        "\"real_time\": %.10g, \"time_unit\": \"ns\"}",
+                        r.name.c_str(), r.value, r.value);
+          break;
       }
       out += buf;
       out += i + 1 < rows_.size() ? ",\n" : "\n";
@@ -123,7 +136,7 @@ class JsonEmitter {
   }
 
  private:
-  enum class Kind { kRate, kScore, kCost };
+  enum class Kind { kRate, kScore, kCost, kExact };
   struct Row {
     std::string name;
     double value;

@@ -23,6 +23,12 @@ fairness-index rows) are plain scores, not rates: the "value" field is
 compared directly, so a fairness index slipping more than the threshold
 below its baseline fails the gate.
 
+Entries carrying "exact": true (e.g. bench_fleet's event-census rows,
+fleet/<scenario>/events_per_cell[/<layer>]) are deterministic counts:
+the candidate's "value" must equal the baseline's, and any difference
+fails, in either direction. The threshold does not apply: a count that
+falls is a behaviour change to re-record, not noise to absorb.
+
 Exit status: 0 = no regression, 1 = regression or missing benchmark,
 2 = usage / unreadable input.
 """
@@ -32,19 +38,30 @@ import json
 import sys
 
 
-def load_rates(path):
-    """Returns {benchmark name: score} for one JSON file, where score is
-    a higher-is-better throughput — lower-is-better entries are stored
-    as their reciprocal so one comparison rule covers both."""
+def load_doc(path):
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
 
+
+def load_exact(doc):
+    """Returns {benchmark name: value} for the "exact": true rows."""
+    return {b["name"]: float(b["value"])
+            for b in doc.get("benchmarks", []) if b.get("exact")}
+
+
+def load_rates(doc):
+    """Returns {benchmark name: score} for one JSON document's
+    thresholded rows, where score is a higher-is-better throughput —
+    lower-is-better entries are stored as their reciprocal so one
+    comparison rule covers both."""
     raw, aggregates = {}, {}
     for b in doc.get("benchmarks", []):
+        if b.get("exact"):
+            continue
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") not in ("median", "mean"):
                 continue
@@ -83,15 +100,17 @@ def main(argv=None):
                     help="max tolerated fractional regression (default 0.15)")
     args = ap.parse_args(argv)
 
-    base = load_rates(args.baseline)
-    cand = load_rates(args.candidate)
-    if not base:
+    base_doc = load_doc(args.baseline)
+    cand_doc = load_doc(args.candidate)
+    base, base_exact = load_rates(base_doc), load_exact(base_doc)
+    cand, cand_exact = load_rates(cand_doc), load_exact(cand_doc)
+    if not base and not base_exact:
         print(f"bench_compare: no benchmarks in {args.baseline}",
               file=sys.stderr)
         sys.exit(2)
 
     failures = 0
-    width = max(len(n) for n in base)
+    width = max(len(n) for n in [*base, *base_exact])
     print(f"{'benchmark':<{width}}  {'baseline':>12} {'candidate':>12} "
           f"{'ratio':>7}  verdict")
     for name in sorted(base):
@@ -106,10 +125,22 @@ def main(argv=None):
         print(f"{name:<{width}}  {base[name]:12.3e} {cand[name]:12.3e} "
               f"{ratio:7.2f}  {verdict}")
         failures += 0 if ok else 1
+    for name in sorted(base_exact):
+        if name not in cand_exact:
+            print(f"{name:<{width}}  {base_exact[name]:12.6g} {'—':>12} "
+                  f"{'—':>7}  MISSING")
+            failures += 1
+            continue
+        ok = cand_exact[name] == base_exact[name]
+        print(f"{name:<{width}}  {base_exact[name]:12.6g} "
+              f"{cand_exact[name]:12.6g} {'exact':>7}  "
+              f"{'ok' if ok else 'CHANGED (exact row)'}")
+        failures += 0 if ok else 1
 
     if failures:
         print(f"bench_compare: {failures} benchmark(s) regressed beyond "
-              f"{args.threshold:.0%} of baseline", file=sys.stderr)
+              f"{args.threshold:.0%} of baseline or changed an exact row",
+              file=sys.stderr)
         return 1
     print("bench_compare: no regressions")
     return 0

@@ -20,7 +20,9 @@ Modes:
                      fairness/protection rows against the committed
                      baselines in bench/baselines/ using
                      scripts/bench_compare.py semantics (threshold from
-                     HNI_BENCH_THRESHOLD, default 0.15)
+                     HNI_BENCH_THRESHOLD, default 0.15); with --smoke
+                     and the whole matrix, also gate every scenario's
+                     event census exactly against BENCH_census.json
 
 Exit status: 0 when every job passed, 1 on any acceptance miss,
 timeout, or baseline regression, 2 on usage/setup errors.
@@ -53,6 +55,12 @@ BASELINES = {
 # verify) that every cell-path scenario runs through.
 KERNEL_FILTER = ("BM_Simulator|BM_Crc32_9180|BM_MakePattern_9180|"
                  "BM_VerifyPattern_9180")
+
+# The smoke matrix's event census (bench_fleet's "exact" rows, kernel
+# events per delivered cell per layer), merged from every scenario's
+# JSON and gated for equality: the census is deterministic, so any
+# change is a behaviour change to re-record, never noise.
+CENSUS = "census"
 
 
 class Job:
@@ -146,13 +154,32 @@ def git_sha():
         return "unknown"
 
 
-def compare_baselines(build_dir, threshold):
-    """Replicates check.sh --bench-compare's gate in-process."""
+def merge_census(scenario_jsons, dest):
+    """Collects the exact rows of the given BENCH_<scenario>.json files
+    into one google-benchmark-shaped document at `dest`."""
+    rows = []
+    for path in scenario_jsons:
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+        except (OSError, ValueError):
+            continue  # a failed scenario: its rows read as MISSING
+        rows += [r for r in doc.get("benchmarks", []) if r.get("exact")]
+    with open(dest, "w") as f:
+        json.dump({"context": {"executable": "bench_fleet --smoke"},
+                   "benchmarks": rows}, f, indent=1)
+        f.write("\n")
+
+
+def compare_baselines(build_dir, threshold, census):
+    """Replicates check.sh --bench-compare's gate in-process; `census`
+    adds the exact event-census gate."""
     sys.path.insert(0, os.path.join(REPO, "scripts"))
     import bench_compare
 
     failures = 0
-    for key in sorted(BASELINES):
+    keys = sorted(BASELINES) + ([CENSUS] if census else [])
+    for key in keys:
         baseline = os.path.join(REPO, "bench", "baselines",
                                 "BENCH_%s.json" % key)
         current = os.path.join(build_dir, "BENCH_%s.json" % key)
@@ -286,7 +313,16 @@ def main(argv=None):
     if args.bench_compare:
         print("\n== fleet: baseline gate ==")
         threshold = float(os.environ.get("HNI_BENCH_THRESHOLD", "0.15"))
-        compare_failures = compare_baselines(args.build_dir, threshold)
+        census = args.smoke and not args.only
+        if census:
+            merge_census(
+                [os.path.join(out_dir, "BENCH_%s.json" % j.name)
+                 for j in jobs if j.kind == "scenario"],
+                os.path.join(args.build_dir, "BENCH_%s.json" % CENSUS))
+        else:
+            print("-- event census gated only on the whole --smoke matrix")
+        compare_failures = compare_baselines(args.build_dir, threshold,
+                                             census)
 
     record = {
         "utc": datetime.datetime.now(datetime.timezone.utc).strftime(

@@ -36,6 +36,11 @@ def score_row(name, value):
             "real_time": 1.0, "higher_is_better": True, "value": value}
 
 
+def exact_row(name, value):
+    return {"name": name, "run_type": "iteration", "real_time": value,
+            "exact": True, "value": value}
+
+
 class CompareTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -98,6 +103,34 @@ class CompareTest(unittest.TestCase):
         bad = self.write("bad.json", doc([score_row("r4/jain", 0.50)]))
         self.assertEqual(self.run_gate(base, ok, threshold=0.15), 0)
         self.assertEqual(self.run_gate(base, bad, threshold=0.15), 1)
+
+    def test_exact_row_fails_on_any_change_in_either_direction(self):
+        name = "fleet/determinism-p2p/events_per_cell"
+        base = self.write("b.json", doc([exact_row(name, 6.4166666667)]))
+        same = self.write("same.json", doc([exact_row(name, 6.4166666667)]))
+        lower = self.write("lower.json", doc([exact_row(name, 5.4166666667)]))
+        higher = self.write("higher.json",
+                            doc([exact_row(name, 6.4166666668)]))
+        # The threshold does not soften an exact row: even a generous
+        # one fails a 16% fall and a 1e-10 rise alike.
+        self.assertEqual(self.run_gate(base, same, threshold=0.5), 0)
+        self.assertEqual(self.run_gate(base, lower, threshold=0.5), 1)
+        self.assertEqual(self.run_gate(base, higher, threshold=0.5), 1)
+
+    def test_missing_exact_row_fails(self):
+        base = self.write("b.json", doc([exact_row("c/total", 3.0),
+                                         exact_row("c/framer", 1.0)]))
+        cand = self.write("c.json", doc([exact_row("c/total", 3.0)]))
+        self.assertEqual(self.run_gate(base, cand), 1)
+
+    def test_exact_baseline_alone_is_a_valid_baseline(self):
+        # A census-only baseline is not "empty" (that is exit 2); mixed
+        # with rate rows, each row keeps its own rule.
+        base = self.write("b.json", doc([exact_row("c/total", 3.0),
+                                         rate_row("k", 100.0)]))
+        cand = self.write("c.json", doc([exact_row("c/total", 3.0),
+                                         rate_row("k", 90.0)]))
+        self.assertEqual(self.run_gate(base, cand, threshold=0.15), 0)
 
     def test_missing_benchmark_fails(self):
         base = self.write("b.json", doc([rate_row("a", 1.0),

@@ -49,7 +49,7 @@ void DmaEngine::attempt(std::size_t bytes, Direction dir,
                    failed = std::move(failed)]() mutable {
                     attempt(bytes, dir, tries, std::move(success),
                             std::move(failed));
-                  });
+                  }, sim::Layer::kBus);
     return;
   }
   bus_.transfer(bytes, dir,
@@ -75,7 +75,7 @@ void DmaEngine::attempt(std::size_t bytes, Direction dir,
                       failed = std::move(failed)]() mutable {
                        attempt(bytes, dir, tries + 1, std::move(success),
                                std::move(failed));
-                     });
+                     }, sim::Layer::kBus);
   });
 }
 

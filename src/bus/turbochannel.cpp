@@ -44,7 +44,7 @@ void Bus::submit(std::size_t bytes, Direction dir,
   transfers_.add();
   bytes_.add(bytes);
   if (bytes == 0) {
-    sim_.after(0, std::move(done));
+    sim_.after(0, std::move(done), sim::Layer::kBus);
     return;
   }
   Pending p;
@@ -88,7 +88,7 @@ void Bus::serve_next() {
   serving_ = true;
   if (sim_.now() < held_until_) {
     // Arbiter held off: no grants until the hold clears.
-    sim_.at(held_until_, [this] { serve_next(); });
+    sim_.at(held_until_, [this] { serve_next(); }, sim::Layer::kBus);
     return;
   }
   Pending p = std::move(queue_.front());
@@ -106,10 +106,10 @@ void Bus::serve_next() {
     sim_.after(t, [this, done = std::move(done)] {
       done();
       serve_next();
-    });
+    }, sim::Layer::kBus);
   } else {
     queue_.push_back(std::move(p));
-    sim_.after(t, [this] { serve_next(); });
+    sim_.after(t, [this] { serve_next(); }, sim::Layer::kBus);
   }
 }
 

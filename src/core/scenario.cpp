@@ -47,6 +47,8 @@ void Meas::run(Testbed& bed, const Sources& sources, sim::Time warmup,
   };
   bed.sim().after(warmup, [&] {
     measuring_ = true;
+    books_.events = bed.sim().census();
+    books_.cells_delivered = bed.cells_received();
     for (std::size_t i = 0; i < sources.size(); ++i) {
       first_sdu_[i] = sources[i]->generated();
     }
@@ -57,6 +59,10 @@ void Meas::run(Testbed& bed, const Sources& sources, sim::Time warmup,
 
   measuring_ = false;
   books_.length = window;
+  for (std::size_t i = 0; i < sim::kLayerCount; ++i) {
+    books_.events[i] = bed.sim().census()[i] - books_.events[i];
+  }
+  books_.cells_delivered = bed.cells_received() - books_.cells_delivered;
   books_.offered_bytes = offered() - books_.offered_bytes;
   for (const auto& s : sources) s->stop();
   if (at_end) at_end();
@@ -193,6 +199,8 @@ void finish_result(const ScenarioSpec& spec, ScenarioResult& r,
                                static_cast<double>(w.offered_bytes)
                          : 0.0;
   r.jain_weighted = jain_index(normalised);
+  r.events = w.events;
+  r.cells_delivered = w.cells_delivered;
   if (w.latency_us.count() > 0) {
     r.latency_mean_us = w.latency_us.mean();
     r.latency_max_us = w.latency_us.max();

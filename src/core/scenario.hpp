@@ -54,6 +54,10 @@ struct WindowBooks {
   std::uint64_t offered_bytes = 0;
   std::uint64_t offered_delivered_bytes = 0;
   sim::RunningStat latency_us;  // first cell emitted -> host memory
+  // Kernel events fired in-window, per layer, and the cells delivered
+  // to stations in-window (Testbed::cells_received): the work unit.
+  sim::Census events{};
+  std::uint64_t cells_delivered = 0;
 };
 
 struct P2pResult {

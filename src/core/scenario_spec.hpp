@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace hni::core {
@@ -151,6 +152,9 @@ struct ScenarioResult {
   std::uint64_t reroutes = 0;
   std::uint64_t stranded = 0;
   bool audit_clean = true;
+  // In-window event census and delivered cells (core::WindowBooks).
+  sim::Census events{};
+  std::uint64_t cells_delivered = 0;
   std::string digest;         // computed only when the spec needs it
   std::string digest_rerun;   // second run (determinism check)
   std::vector<std::string> failures;  // acceptance misses, human-readable

@@ -26,6 +26,12 @@ bool Testbed::hosts_sending() const {
                      [](const auto& s) { return s->host().inflight_tx() > 0; });
 }
 
+std::uint64_t Testbed::cells_received() const {
+  std::uint64_t cells = 0;
+  for (const auto& s : stations_) cells += s->nic().rx().cells_received();
+  return cells;
+}
+
 InvariantAuditor Testbed::audit(bool include_hops) {
   InvariantAuditor auditor;
   for (auto& s : stations_) auditor.audit_station(*s);

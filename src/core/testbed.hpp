@@ -96,6 +96,9 @@ class Testbed {
   /// (accepted by send(), not yet completed).
   bool hosts_sending() const;
 
+  /// Cells every station's receive path has taken off the wire.
+  std::uint64_t cells_received() const;
+
   /// Runs the invariant auditor over every station; with
   /// `include_hops`, also audits each connect()ed wire hop (only valid
   /// once the event queue has run dry — cells in flight are on

@@ -10,7 +10,7 @@ Host::Host(sim::Simulator& sim, bus::HostMemory& memory, nic::Nic& nic,
       memory_(memory),
       nic_(nic),
       config_(config),
-      cpu_(sim, config.cpu) {
+      cpu_(sim, config.cpu, sim::Layer::kHost) {
   nic_.tx().set_completion(
       [this](const nic::TxDescriptor& d) { on_tx_complete(d); });
   nic_.rx().set_deliver([this](nic::RxDelivery d) { on_rx(std::move(d)); });

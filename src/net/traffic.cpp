@@ -19,7 +19,7 @@ void SduSource::start() {
   running_ = true;
   if (config_.mode == Mode::kGreedy) {
     // Defer to an event so callers can finish wiring first.
-    sim_.after(0, [this] { pump_greedy(); });
+    sim_.after(0, [this] { pump_greedy(); }, sim::Layer::kHost);
   } else {
     if (config_.mode == Mode::kOnOff) {
       phase_ends_ =
@@ -76,7 +76,7 @@ void SduSource::schedule_next() {
     case Mode::kGreedy:
       return;  // handled by pump_greedy
   }
-  sim_.after(gap, [this] { emit_one(); });
+  sim_.after(gap, [this] { emit_one(); }, sim::Layer::kHost);
 }
 
 void SduSource::emit_one() {

@@ -39,7 +39,7 @@ class InterruptController {
       pending_ = 0;
       interrupts_.add();
       if (handler_) handler_(batch);
-    });
+    }, sim::Layer::kHost);
   }
 
   std::uint64_t events() const { return events_.value(); }

@@ -14,7 +14,7 @@ RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
       firmware_(firmware),
       config_(config),
       profiler_(config.engine.clock_hz),
-      engine_(sim, config.engine),
+      engine_(sim, config.engine, sim::Layer::kRxEngine),
       fifo_(sim, config.fifo_cells),
       board_(sim, config.board),
       vcs_(config.vc_buckets),

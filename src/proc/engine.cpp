@@ -6,8 +6,8 @@
 
 namespace hni::proc {
 
-Engine::Engine(sim::Simulator& sim, EngineConfig config)
-    : sim_(sim), config_(std::move(config)), born_(sim.now()) {
+Engine::Engine(sim::Simulator& sim, EngineConfig config, sim::Layer layer)
+    : sim_(sim), layer_(layer), config_(std::move(config)), born_(sim.now()) {
   if (config_.clock_hz <= 0 || config_.cpi <= 0) {
     throw std::invalid_argument("Engine: clock and cpi must be positive");
   }
@@ -38,7 +38,7 @@ void Engine::occupy(sim::Time duration, Done done) {
   free_at_ = start + duration;
   busy_accum_ += duration;
   items_.add();
-  sim_.at(free_at_, std::move(done));
+  sim_.at(free_at_, std::move(done), layer_);
 }
 
 double Engine::utilization(sim::Time now) const {

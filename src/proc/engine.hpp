@@ -35,7 +35,9 @@ class Engine {
   // cells on the per-cell path, which must not allocate per work item.
   using Done = sim::Action;
 
-  Engine(sim::Simulator& sim, EngineConfig config);
+  /// Completions are counted under `layer` in the kernel's census.
+  Engine(sim::Simulator& sim, EngineConfig config,
+         sim::Layer layer = sim::Layer::kTimer);
 
   /// Time `instructions` take on this engine.
   sim::Time cost(std::uint32_t instructions) const;
@@ -78,6 +80,7 @@ class Engine {
 
  private:
   sim::Simulator& sim_;
+  sim::Layer layer_;
   EngineConfig config_;
   sim::CycleProfiler* profiler_ = nullptr;
   sim::Time free_at_ = 0;

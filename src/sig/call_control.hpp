@@ -108,7 +108,7 @@ class MessageTap {
     if (delay_next_ > 0) {
       --delay_next_;
       delayed_.add();
-      sim_.after(delay_by_, [m, forward] { forward(m); });
+      sim_.after(delay_by_, [m, forward] { forward(m); }, sim::Layer::kSig);
       return;
     }
     forwarded_.add();

@@ -6,6 +6,13 @@
 
 namespace hni::sim {
 
+const char* layer_name(Layer layer) {
+  static constexpr const char* kNames[kLayerCount] = {
+      "framer", "link", "switch", "tx_engine", "rx_engine",
+      "bus",    "host", "sig",    "oam",       "timer"};
+  return kNames[static_cast<std::size_t>(layer)];
+}
+
 void Simulator::throw_past() {
   throw std::logic_error("Simulator::at: scheduling into the past");
 }
@@ -69,6 +76,7 @@ void Simulator::fire_root() {
   heap_pop_root();
   now_ = when;
   ++fired_;
+  ++census_[slot->layer];
   action();
 }
 
@@ -100,6 +108,7 @@ std::uint64_t Simulator::run() {
     heap_pop_root();
     now_ = when;
     ++fired_;
+    ++census_[slot->layer];
     action();
     ++n;
   }
@@ -128,6 +137,7 @@ std::uint64_t Simulator::run_until(Time deadline) {
     heap_pop_root();
     now_ = when;
     ++fired_;
+    ++census_[slot->layer];
     action();
     ++n;
   }

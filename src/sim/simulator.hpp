@@ -21,9 +21,15 @@
 // heap node fall out lazily at pop time. The (time, insertion-seq)
 // ordering contract is identical to the original std::priority_queue
 // kernel, so same-seed runs stay byte-identical.
+//
+// Event census: every schedule call names the layer the event belongs
+// to (framer, link, switch, ...; kTimer when untagged). The tag rides
+// in the event's arena slot, and firing bumps that layer's counter, so
+// events_fired() splits exactly and deterministically by layer.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,6 +38,28 @@
 #include "sim/time.hpp"
 
 namespace hni::sim {
+
+/// The layer an event belongs to, for the kernel's event census.
+enum class Layer : std::uint8_t {
+  kFramer,    // TX framer slots and cell serialization
+  kLink,      // wire delivery
+  kSwitch,    // switch output-port service
+  kTxEngine,  // NIC segmentation engine, TX shaper
+  kRxEngine,  // NIC reassembly engine
+  kBus,       // host bus and DMA
+  kHost,      // host CPU, traffic sources, interrupts
+  kSig,       // signalling: call timers, protection, routing audit
+  kOam,       // continuity checks, AIS/RDI generation
+  kTimer,     // watchdogs, sweeps, faults, scenario timers, untagged
+};
+inline constexpr std::size_t kLayerCount = 10;
+static_assert(static_cast<std::size_t>(Layer::kTimer) + 1 == kLayerCount);
+
+/// Short lowercase name of a layer ("framer", "tx_engine", ...).
+const char* layer_name(Layer layer);
+
+/// Events fired per layer, indexed by Layer.
+using Census = std::array<std::uint64_t, kLayerCount>;
 
 namespace detail {
 
@@ -42,6 +70,7 @@ namespace detail {
 struct EventSlot {
   Action action;
   std::uint32_t gen = 0;
+  std::uint8_t layer = 0;  // census tag, set at schedule time
   EventSlot* next_free = nullptr;
 };
 
@@ -78,28 +107,29 @@ class Simulator {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedules a callable at absolute time `when` (must be >= now()).
+  /// Schedules a callable at absolute time `when` (must be >= now()),
+  /// counted under `layer` in the census when it fires.
   /// The fast path: the callable is constructed directly into its
   /// arena slot, no intermediate Action.
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, Action>)
-  EventHandle at(Time when, F&& f) {
+  EventHandle at(Time when, F&& f, Layer layer = Layer::kTimer) {
     detail::EventSlot* s = prepare(when);
     s->action.emplace(std::forward<F>(f));
-    return commit(when, s);
+    return commit(when, s, layer);
   }
 
   /// Schedules an already-wrapped Action.
-  EventHandle at(Time when, Action action) {
+  EventHandle at(Time when, Action action, Layer layer = Layer::kTimer) {
     detail::EventSlot* s = prepare(when);
     s->action = std::move(action);
-    return commit(when, s);
+    return commit(when, s, layer);
   }
 
   /// Schedules `delay` after the current time.
   template <typename F>
-  EventHandle after(Time delay, F&& f) {
-    return at(now_ + delay, std::forward<F>(f));
+  EventHandle after(Time delay, F&& f, Layer layer = Layer::kTimer) {
+    return at(now_ + delay, std::forward<F>(f), layer);
   }
 
   /// Cancels a pending event in O(1). Cancelling an already-fired or
@@ -133,6 +163,9 @@ class Simulator {
   /// Total events fired since construction.
   std::uint64_t events_fired() const { return fired_; }
 
+  /// Events fired since construction, per layer; sums to events_fired().
+  const Census& census() const { return census_; }
+
  private:
   // Heap node: everything ordering needs plus the slot — the callable
   // stays put in its slot so sift operations move 32 bytes, not the
@@ -157,7 +190,8 @@ class Simulator {
     }
     return acquire_slot();
   }
-  EventHandle commit(Time when, detail::EventSlot* s) {
+  EventHandle commit(Time when, detail::EventSlot* s, Layer layer) {
+    s->layer = static_cast<std::uint8_t>(layer);
     const std::uint32_t gen = s->gen;
     heap_push(Node{when, next_seq_++, s, gen});
     return EventHandle{s, gen};
@@ -207,6 +241,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
+  Census census_{};
 };
 
 }  // namespace hni::sim

@@ -3,25 +3,32 @@
 //
 // Each canonical scenario runs with the tracer armed; every trace
 // event (the full wire-level event order) and a telemetry snapshot are
-// folded into a single FNV-1a digest. The digest is compared against a
-// committed golden file in tests/golden/ — any change to event
-// ordering, loss draws, or counter arithmetic shows up as a digest
-// mismatch, which is exactly the alarm we want when touching the event
-// kernel: the (time, insertion-seq) contract makes these bytes part of
-// the public behaviour.
+// folded into a single FNV-1a *behaviour* digest. The digest is
+// compared against a committed golden file in tests/golden/ — any
+// change to event ordering, loss draws, or counter arithmetic shows up
+// as a digest mismatch, which is exactly the alarm we want when
+// touching the event kernel: the (time, insertion-seq) contract makes
+// these bytes part of the public behaviour.
 //
-// Regenerating (only after an *intentional* behaviour change, with the
-// diff reviewed):
+// How many kernel events it took to produce that behaviour is a
+// separate book: the kernel's per-layer event census, recorded exactly
+// in tests/golden/<scenario>.events. A change that only schedules
+// fewer events (say, an idle slot no longer simulated) rewrites the
+// .events file and leaves the .digest byte-identical.
+//
+// Regenerating (only after an *intentional* behaviour or event-count
+// change, with the diff reviewed):
 //
 //   HNI_UPDATE_GOLDEN=1 ./build/tests/determinism_digest_test
 //
-// then commit the rewritten tests/golden/*.digest files.
+// then commit the rewritten tests/golden/*.digest and *.events files.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "core/testbed.hpp"
 #include "net/traffic.hpp"
 #include "sig/network.hpp"
+#include "sim/simulator.hpp"
 
 #ifndef HNI_GOLDEN_DIR
 #error "HNI_GOLDEN_DIR must point at tests/golden"
@@ -40,16 +48,27 @@ namespace {
 
 // --- Canonical scenarios --------------------------------------------
 //
-// Both arm the testbed tracer, run a P2P workload, and digest the
-// complete trace stream + the full telemetry snapshot + the kernel's
-// own books. Parameters are frozen: changing them invalidates the
-// goldens by design.
+// Each arms the testbed tracer, runs a workload, and digests the
+// complete trace stream + the full telemetry snapshot + the endpoint
+// truths; the kernel's event census is recorded beside the digest.
+// Parameters are frozen: changing them invalidates the goldens by
+// design.
 
 struct ScenarioOutput {
   std::string digest;
+  std::string events;  // the census, rendered as in the .events file
   std::uint64_t trace_events = 0;
-  std::uint64_t kernel_events = 0;
 };
+
+// "total N" then one "layer N" line per census layer.
+std::string render_census(const sim::Simulator& sim) {
+  std::string out = "total " + std::to_string(sim.events_fired()) + "\n";
+  for (std::size_t i = 0; i < sim::kLayerCount; ++i) {
+    out += std::string(sim::layer_name(static_cast<sim::Layer>(i))) + " " +
+           std::to_string(sim.census()[i]) + "\n";
+  }
+  return out;
+}
 
 // Scenario 3: a protected multi-switch fabric riding out a trunk flap.
 // Exercises the whole resilience event vocabulary — OAM continuity
@@ -123,7 +142,6 @@ ScenarioOutput run_tandem_protection() {
   core::Digest d;
   core::fold_trace(d, trace);
   d.fold_string(bed.metrics().to_json());
-  d.fold(bed.sim().events_fired());
   d.fold(static_cast<std::uint64_t>(bed.now()));
   d.fold(received);
   d.fold(pattern_failures);
@@ -134,8 +152,8 @@ ScenarioOutput run_tandem_protection() {
 
   ScenarioOutput out;
   out.digest = d.hex();
+  out.events = render_census(bed.sim());
   out.trace_events = trace.size();
-  out.kernel_events = bed.sim().events_fired();
   return out;
 }
 
@@ -196,30 +214,34 @@ ScenarioOutput run_canonical(const char* name) {
   // registration order, names included (a renamed or vanished
   // instrument is a behaviour change too).
   d.fold_string(bed.metrics().to_json());
-  // Kernel books and endpoint truths.
-  d.fold(bed.sim().events_fired());
+  // Endpoint truths.
   d.fold(static_cast<std::uint64_t>(bed.now()));
   d.fold(received);
   d.fold(pattern_failures);
 
   ScenarioOutput out;
   out.digest = d.hex();
+  out.events = render_census(bed.sim());
   out.trace_events = trace.size();
-  out.kernel_events = bed.sim().events_fired();
   return out;
 }
 
 // --- Golden-file plumbing -------------------------------------------
 
-std::string golden_path(const std::string& name) {
-  return std::string(HNI_GOLDEN_DIR) + "/" + name + ".digest";
+std::string golden_path(const std::string& name, const char* ext) {
+  return std::string(HNI_GOLDEN_DIR) + "/" + name + ext;
 }
 
-std::string read_golden(const std::string& name) {
-  std::ifstream in(golden_path(name));
-  std::string line;
-  std::getline(in, line);
-  return line;
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  ASSERT_TRUE(out.good()) << "failed writing " << path;
 }
 
 bool update_mode() {
@@ -235,25 +257,34 @@ void check_scenario(const char* name) {
   // trace + telemetry, independent of any committed file.
   ASSERT_EQ(first.digest, second.digest)
       << "scenario '" << name << "' is not deterministic in-process";
+  ASSERT_EQ(first.events, second.events)
+      << "scenario '" << name << "' event census is not deterministic";
   ASSERT_GT(first.trace_events, 0u) << "tracer captured nothing";
 
+  const std::string digest_path = golden_path(name, ".digest");
+  const std::string events_path = golden_path(name, ".events");
   if (update_mode()) {
-    std::ofstream out(golden_path(name));
-    out << first.digest << "\n";
-    ASSERT_TRUE(out.good()) << "failed writing " << golden_path(name);
+    write_file(digest_path, first.digest + "\n");
+    write_file(events_path, first.events);
     GTEST_LOG_(INFO) << "updated golden for " << name << ": "
-                     << first.digest;
+                     << first.digest << "\n" << first.events;
     return;
   }
-  const std::string golden = read_golden(name);
+  const std::string golden = read_file(digest_path);
   ASSERT_FALSE(golden.empty())
-      << "missing golden file " << golden_path(name)
+      << "missing golden file " << digest_path
       << " — run with HNI_UPDATE_GOLDEN=1 to create it";
-  EXPECT_EQ(first.digest, golden)
+  EXPECT_EQ(first.digest + "\n", golden)
       << "scenario '" << name << "' diverged from the committed golden "
-      << "digest. If this change is intentional, regenerate with\n"
+      << "behaviour digest. If this change is intentional, regenerate "
+      << "with\n  HNI_UPDATE_GOLDEN=1 ./build/tests/determinism_digest_test"
+      << "\nand commit the new tests/golden/" << name << ".digest";
+  EXPECT_EQ(first.events, read_file(events_path))
+      << "scenario '" << name << "' event census differs from "
+      << events_path << ". If the kernel now schedules a different "
+      << "number of events for the same behaviour, regenerate with\n"
       << "  HNI_UPDATE_GOLDEN=1 ./build/tests/determinism_digest_test\n"
-      << "and commit the new tests/golden/" << name << ".digest";
+      << "and record the before/after counts.";
 }
 
 TEST(GoldenDeterminism, P2pLossyPoisson) {

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -143,6 +145,43 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(count, 100);
   EXPECT_EQ(sim.now(), 100);
   EXPECT_EQ(sim.events_fired(), 100u);
+}
+
+TEST(Simulator, CensusCountsEachLayerAndSumsToTotal) {
+  Simulator sim;
+  sim.at(1, [] {}, Layer::kFramer);
+  sim.at(2, [] {}, Layer::kFramer);
+  sim.after(3, [] {}, Layer::kLink);
+  sim.at(4, Action([] {}), Layer::kOam);
+  sim.at(5, [] {});  // untagged: the timer layer
+  const EventHandle cancelled = sim.at(6, [] {}, Layer::kSwitch);
+  sim.cancel(cancelled);
+  sim.at(7, [&sim] { sim.after(1, [] {}, Layer::kHost); }, Layer::kSig);
+  sim.step();  // step() counts like run()
+  sim.run_until(7);
+  sim.run();
+
+  const Census& c = sim.census();
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kFramer)], 2u);
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kLink)], 1u);
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kOam)], 1u);
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kTimer)], 1u);
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kSwitch)], 0u);  // cancelled
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kSig)], 1u);
+  EXPECT_EQ(c[static_cast<std::size_t>(Layer::kHost)], 1u);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t n : c) sum += n;
+  EXPECT_EQ(sum, sim.events_fired());
+  EXPECT_EQ(sim.events_fired(), 7u);
+}
+
+TEST(Simulator, LayerNamesAreDistinct) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < kLayerCount; ++i) {
+    names.insert(layer_name(static_cast<Layer>(i)));
+  }
+  EXPECT_EQ(names.size(), kLayerCount);
+  EXPECT_STREQ(layer_name(Layer::kTxEngine), "tx_engine");
 }
 
 TEST(Simulator, StepFiresExactlyOne) {
