@@ -10,9 +10,9 @@
 // accounted for them.
 
 #include <cstdio>
-#include <deque>
 
 #include "aal/aal1.hpp"
+#include "atm/fifo.hpp"
 #include "atm/phy.hpp"
 #include "core/report.hpp"
 #include "net/link.hpp"
@@ -33,7 +33,8 @@ int main() {
 
   aal::Aal1Segmenter segmenter(vc);
   aal::Aal1Reassembler reassembler;
-  std::deque<atm::Cell> ready;
+  // A T1 stream fills ~4 cells per 1 ms tick; the line drains ~353.
+  atm::CellFifo<atm::Cell> ready(sim, 64);
 
   // Source: 1.544 Mb/s = 193 octets per 1 ms tick.
   std::uint64_t produced_octets = 0;
@@ -42,7 +43,8 @@ int main() {
     aal::Bytes chunk = aal::make_pattern(193, tick++);
     produced_octets += chunk.size();
     for (auto& cell : segmenter.push(chunk)) {
-      ready.push_back(std::move(cell));
+      cell.meta.created = sim.now();
+      ready.push(std::move(cell));
     }
     if (tick < 2000) sim.after(sim::milliseconds(1), produce);
   };
@@ -50,13 +52,7 @@ int main() {
 
   // PHY: the framer sends a ready AAL1 cell per slot when one exists.
   atm::TxFramer framer(sim, atm::sts3c());
-  framer.set_supplier([&]() -> std::optional<atm::Cell> {
-    if (ready.empty()) return std::nullopt;
-    atm::Cell c = std::move(ready.front());
-    ready.pop_front();
-    c.meta.created = sim.now();
-    return c;
-  });
+  framer.bind(ready);
   framer.set_sink([&](const atm::Cell& c) { link.send(c); });
   framer.start();
 

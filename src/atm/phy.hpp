@@ -9,19 +9,20 @@
 // analysis, so the model is exactly that: a slot clock. Unused slots
 // carry idle cells, which receivers drop.
 //
-// TxFramer pulls cells from a supplier at each slot boundary; RxFramer
-// delivers cells after one slot of serialization delay and runs the HEC
-// receiver (optionally injecting header bit errors upstream — that is
-// the link model's job, see net/link.hpp).
+// TxFramer takes a cell from its TX FIFO at slot boundaries and hands
+// it on after one slot of serialization delay. It is event-driven: the
+// slot grid start + k*slot is fixed when the framer starts, but only
+// boundaries that carry a cell cost a kernel event. Idle slots are
+// counted by arithmetic, not simulated.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "atm/cell.hpp"
+#include "atm/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -53,19 +54,38 @@ LineRate sts12c();
 /// A custom rate with negligible framing overhead (for sweeps).
 LineRate raw_rate(double bps, std::string name = "raw");
 
-/// Transmit framer: a free-running slot clock. At each slot boundary it
-/// asks `supplier` for a cell; if none is ready the slot carries an idle
-/// cell (counted, not delivered). Produced cells are handed to `sink`
-/// after one slot of serialization.
+/// Transmit framer: drains one TX FIFO onto the line, one cell per
+/// slot. Slot boundaries sit at start + k*slot from start() on. At a
+/// boundary with a cell queued the framer pops it and hands it to
+/// `sink` one slot later; a boundary with the FIFO empty carries an
+/// idle cell.
+///
+/// Event-driven, phase-exact: the framer schedules an event only for
+/// a boundary that will carry a cell. While the FIFO holds cells a
+/// wake is armed for the next boundary; when the FIFO runs empty the
+/// framer disarms and schedules nothing. The push that makes the FIFO
+/// non-empty arms the next boundary the framer has not yet served, on
+/// the same grid, so slot phase and the ppm offset are unchanged.
+/// idle_slots() and utilization() are arithmetic over the boundaries
+/// elapsed since start().
+///
+/// Tie rule: a cell pushed at the exact instant of a boundary the
+/// framer has not served leaves in that slot. A boundary is served
+/// once the framer has popped a cell there; idle boundaries before
+/// now are gone. (A polled framer that fires every boundary would
+/// send such a cell in that slot or the next, depending on which
+/// event the kernel's FIFO tie-break ran first.)
 class TxFramer {
  public:
-  using Supplier = std::function<std::optional<Cell>()>;
   using Sink = std::function<void(const Cell&)>;
 
   TxFramer(sim::Simulator& sim, LineRate rate);
 
-  /// Installs the cell source. Must be set before start().
-  void set_supplier(Supplier supplier) { supplier_ = std::move(supplier); }
+  /// Binds the framer to the FIFO it drains: the framer pops from it
+  /// and takes over its push hook to wake the line, so every producer
+  /// that pushes into `fifo` wakes the framer. Must be called before
+  /// start(); `fifo` must outlive the framer.
+  void bind(CellFifo<Cell>& fifo);
   /// Installs the downstream consumer (typically a net::Link).
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
@@ -76,29 +96,52 @@ class TxFramer {
   /// Call before start().
   void set_clock_ppm(double ppm);
 
-  /// Starts the slot clock at the current simulation time.
+  /// Starts the slot clock at the current simulation time: boundary 0
+  /// is now. Throws unless a FIFO is bound and a sink set.
   void start();
-  /// Stops the slot clock after the in-flight slot.
-  void stop() { running_ = false; }
+  /// Stops the slot clock; a cell already popped still completes.
+  void stop();
 
   const LineRate& rate() const { return rate_; }
+  /// Effective slot length (nominal, adjusted by the clock ppm).
+  sim::Time slot() const { return slot_; }
   std::uint64_t cells_sent() const { return cells_sent_.value(); }
-  std::uint64_t idle_slots() const { return idle_slots_.value(); }
+  /// Boundaries elapsed since start() (up to stop()) that carried no
+  /// cell.
+  std::uint64_t idle_slots() const;
 
   /// Fraction of elapsed slots that carried a live cell.
   double utilization() const;
 
+  /// Whether a wake is scheduled for the next boundary.
+  bool wake_armed() const { return armed_; }
+  /// A running framer with cells queued and no wake armed: the line
+  /// would sit idle under queued cells. Only a FIFO whose push hook was
+  /// replaced after bind() can get here; core::InvariantAuditor checks
+  /// it.
+  bool stalled() const {
+    return running_ && !armed_ && fifo_ != nullptr && !fifo_->empty();
+  }
+
  private:
-  void on_slot();
+  void wake();
+  void arm(std::uint64_t boundary);
+  void on_slot(std::uint64_t boundary);
+  /// Boundaries elapsed in every run so far, this one up to now.
+  std::uint64_t slots_elapsed() const;
 
   sim::Simulator& sim_;
   LineRate rate_;
   sim::Time slot_;  // effective slot (nominal +- ppm)
-  Supplier supplier_;
+  CellFifo<Cell>* fifo_ = nullptr;
   Sink sink_;
   bool running_ = false;
+  bool armed_ = false;
+  sim::Time start_ = 0;              // boundary 0 of the current run
+  std::uint64_t next_boundary_ = 0;  // first boundary not yet served
+  std::uint64_t slots_before_ = 0;   // boundaries of earlier runs
+  sim::EventHandle wake_;
   sim::Counter cells_sent_;
-  sim::Counter idle_slots_;
 };
 
 }  // namespace hni::atm

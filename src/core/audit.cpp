@@ -67,6 +67,8 @@ void InvariantAuditor::audit_station(Station& s) {
             "tx-fifo resident conservation",
             who + "accepted == removed + resident");
 
+  audit_tx_line(tx.framer(), s.name());
+
   // OAM loopback books: every request sent either completed, was
   // abandoned when its VC closed, or is still outstanding. An entry
   // that survives its VC (the old tag-only table could not be swept)
@@ -91,6 +93,16 @@ void InvariantAuditor::audit_station(Station& s) {
             who + "loc declared == cleared + standing");
   expect_le(s.nic().cc_monitored(), s.nic().open_vc_count(),
             "oam cc monitored bound", who + "cc monitored <= open VCs");
+}
+
+void InvariantAuditor::audit_tx_line(const atm::TxFramer& framer,
+                                     const std::string& name) {
+  // The framer schedules events only for slots that carry a cell, so
+  // queued cells must always have a wake armed. A producer that got
+  // round TxFramer::bind()'s push hook would leave the line idle under
+  // a non-empty FIFO, visible otherwise only as lost throughput.
+  expect_eq(framer.stalled() ? 1 : 0, 0, "tx line stall",
+            name + ": running framer with queued cells has a wake armed");
 }
 
 void InvariantAuditor::audit_hop(Station& tx, const net::Link& link,

@@ -11,6 +11,9 @@
 //   * cell FIFOs:            offered == accepted + dropped,
 //                            accepted == removed + resident
 //   * RX engine:             removed == serviced + flushed
+//   * TX line:               a running framer with queued cells has a
+//                            wake armed (an event-driven framer that
+//                            misses a wake would only lose throughput)
 //   * wire hop (quiescent):  sent == delivered + lost + dropped-down,
 //                            received == delivered + AIS inserted
 //
@@ -25,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "atm/phy.hpp"
 #include "core/station.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
@@ -50,6 +54,11 @@ class InvariantAuditor {
 
   /// Audits one station's always-true identities (valid at any time).
   void audit_station(Station& s);
+
+  /// Audits that a transmit line is not stalled: a running framer with
+  /// cells queued has a wake armed (valid at any time; audit_station
+  /// runs it on the station's NIC).
+  void audit_tx_line(const atm::TxFramer& framer, const std::string& name);
 
   /// Audits a simplex wire hop tx -> link -> rx. Only valid once the
   /// simulator has run dry: cells in flight are on nobody's books.

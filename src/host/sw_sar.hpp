@@ -24,11 +24,11 @@
 #include <unordered_map>
 
 #include "aal/sar.hpp"
+#include "atm/fifo.hpp"
 #include "atm/phy.hpp"
 #include "bus/turbochannel.hpp"
 #include "host/host.hpp"
 #include "net/link.hpp"
-#include "nic/fifo.hpp"
 #include "proc/engine.hpp"
 
 namespace hni::host {
@@ -89,8 +89,8 @@ class SwSarHost {
   bus::Bus& bus_;
   SwSarConfig config_;
   proc::Engine cpu_;
-  nic::CellFifo<atm::Cell> tx_fifo_;
-  nic::CellFifo<atm::Cell> rx_fifo_;
+  atm::CellFifo<atm::Cell> tx_fifo_;
+  atm::CellFifo<atm::Cell> rx_fifo_;
   atm::TxFramer framer_;
   atm::HecReceiver hec_;
   RxHandler rx_handler_;

@@ -29,12 +29,12 @@
 #include <optional>
 
 #include "aal/sar.hpp"
+#include "atm/fifo.hpp"
 #include "atm/hec.hpp"
 #include "atm/oam.hpp"
 #include "bus/dma.hpp"
 #include "net/link.hpp"
 #include "nic/buffer_mgr.hpp"
-#include "nic/fifo.hpp"
 #include "nic/interrupt.hpp"
 #include "nic/vc_table.hpp"
 #include "nic/watchdog.hpp"
@@ -169,7 +169,7 @@ class RxPath {
   InterruptController& interrupts() { return interrupts_; }
   const InterruptController& interrupts() const { return interrupts_; }
   const proc::Engine& engine() const { return engine_; }
-  const CellFifo<atm::Cell>& fifo() const { return fifo_; }
+  const atm::CellFifo<atm::Cell>& fifo() const { return fifo_; }
   const BoardMemory& board() const { return board_; }
   /// Mutable board pool (fault hooks: set_capacity_limit).
   BoardMemory& board_memory() { return board_; }
@@ -252,7 +252,7 @@ class RxPath {
   RxPathConfig config_;
   sim::CycleProfiler profiler_;
   proc::Engine engine_;
-  CellFifo<atm::Cell> fifo_;
+  atm::CellFifo<atm::Cell> fifo_;
   BoardMemory board_;
   atm::HecReceiver hec_;
   VcTable<VcState> vcs_;

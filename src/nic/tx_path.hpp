@@ -43,10 +43,10 @@
 #include <vector>
 
 #include "aal/sar.hpp"
+#include "atm/fifo.hpp"
 #include "atm/gcra.hpp"
 #include "atm/phy.hpp"
 #include "bus/dma.hpp"
-#include "nic/fifo.hpp"
 #include "nic/watchdog.hpp"
 #include "proc/engine.hpp"
 #include "proc/firmware.hpp"
@@ -177,7 +177,7 @@ class TxPath {
   /// Posts dropped (with completion) because the VC was paused.
   std::uint64_t pdus_dropped_paused() const { return paused_drop_.value(); }
   const proc::Engine& engine() const { return engine_; }
-  const CellFifo<atm::Cell>& fifo() const { return fifo_; }
+  const atm::CellFifo<atm::Cell>& fifo() const { return fifo_; }
 
   /// Per-phase cycle budget of the segmentation engine (header build,
   /// CRC, DMA wait, FIFO stall, …) — bench O1's TX table.
@@ -242,7 +242,7 @@ class TxPath {
   TxPathConfig config_;
   sim::CycleProfiler profiler_;
   proc::Engine engine_;
-  CellFifo<atm::Cell> fifo_;
+  atm::CellFifo<atm::Cell> fifo_;
   atm::TxFramer framer_;
   std::deque<TxDescriptor> ring_;
   std::deque<atm::Cell> control_;  // OAM/RM cells awaiting emission

@@ -3,13 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include "atm/fifo.hpp"
 #include "nic/buffer_mgr.hpp"
-#include "nic/fifo.hpp"
 #include "nic/interrupt.hpp"
 #include "nic/vc_table.hpp"
 
 namespace hni::nic {
 namespace {
+
+using atm::CellFifo;
 
 TEST(CellFifo, PushPopFifoOrder) {
   sim::Simulator sim;
