@@ -20,6 +20,7 @@
 // (fleet/<scenario>/events_per_cell[/<layer>]) are "exact" rows that
 // bench_compare.py gates for equality.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -151,6 +152,18 @@ int main(int argc, char** argv) {
                 ok ? "PASS" : "FAIL");
     for (const std::string& f : r.failures) {
       std::printf("    miss: %s\n", f.c_str());
+    }
+    // The quantities the new-style floors gate, when a row sets them.
+    if (std::any_of(spec.traffic.begin(), spec.traffic.end(),
+                    [](const auto& t) { return t.min_mbps > 0; })) {
+      std::printf("    per-source Mb/s:");
+      for (const double mbps : r.per_flow_mbps) std::printf(" %.2f", mbps);
+      std::printf("\n");
+    }
+    if (spec.accept.max_restore_us > 0) {
+      std::printf("    restore: worst %.1f us over %llu outages\n",
+                  r.restore_max_us,
+                  static_cast<unsigned long long>(r.outages));
     }
     if (!ok) {
       std::printf("    detail: offered=%.2fM calls=%llu reroutes=%llu "

@@ -18,7 +18,7 @@ rows) gate the other direction: the candidate's "value" (falling back
 to real_time) must not exceed baseline / (1 - threshold) — memory-per-VC
 growth fails the gate the same way a throughput drop does.
 
-Entries carrying "higher_is_better": true (e.g. bench_r4's Jain
+Entries carrying "higher_is_better": true (e.g. bench_fleet's Jain
 fairness-index rows) are plain scores, not rates: the "value" field is
 compared directly, so a fairness index slipping more than the threshold
 below its baseline fails the gate.
@@ -27,7 +27,10 @@ Entries carrying "exact": true (e.g. bench_fleet's event-census rows,
 fleet/<scenario>/events_per_cell[/<layer>]) are deterministic counts:
 the candidate's "value" must equal the baseline's, and any difference
 fails, in either direction. The threshold does not apply: a count that
-falls is a behaviour change to re-record, not noise to absorb.
+falls is a behaviour change to re-record, not noise to absorb. An exact
+row that only the candidate has fails too, so a new scenario's census
+is gated from the commit that adds it (rate rows only the candidate has
+are ignored).
 
 Exit status: 0 = no regression, 1 = regression or missing benchmark,
 2 = usage / unreadable input.
@@ -110,7 +113,7 @@ def main(argv=None):
         sys.exit(2)
 
     failures = 0
-    width = max(len(n) for n in [*base, *base_exact])
+    width = max(len(n) for n in [*base, *base_exact, *cand_exact])
     print(f"{'benchmark':<{width}}  {'baseline':>12} {'candidate':>12} "
           f"{'ratio':>7}  verdict")
     for name in sorted(base):
@@ -136,6 +139,10 @@ def main(argv=None):
               f"{cand_exact[name]:12.6g} {'exact':>7}  "
               f"{'ok' if ok else 'CHANGED (exact row)'}")
         failures += 0 if ok else 1
+    for name in sorted(cand_exact.keys() - base_exact.keys()):
+        print(f"{name:<{width}}  {'—':>12} {cand_exact[name]:12.6g} "
+              f"{'exact':>7}  NEW (not in the baseline)")
+        failures += 1
 
     if failures:
         print(f"bench_compare: {failures} benchmark(s) regressed beyond "

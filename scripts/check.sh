@@ -8,18 +8,19 @@
 #
 # --bench-compare is the perf-regression gate, now driven end-to-end by
 # scripts/fleet.py: it builds the plain tree, runs the whole scenario
-# matrix (bench_fleet builtins + bench/scenarios/*.scn) and every
-# legacy bench_* binary in --smoke mode in parallel, and then gates the
-# kernel / vcscale / overload / fairness / protection rows against the
-# committed baselines in bench/baselines/ with scripts/bench_compare.py
-# semantics. A >15% throughput drop fails; the threshold is overridable
-# via HNI_BENCH_THRESHOLD (CI runners are not the baseline machine, so
-# CI uses a looser bound to catch only structural regressions, not host
-# lottery). Each legacy binary's --smoke exit code still asserts its
-# own acceptance (P1's invariant audit at scale, R3's graceful
-# degradation, R4's fairness floors, R5's protection retention), and
-# every scenario's acceptance block gates goodput/delivery/latency/
-# fairness/audit per scenario.
+# matrix (bench_fleet builtins + bench/scenarios/*.scn) and every other
+# bench binary the build defines in --smoke mode in parallel, and then
+# gates the kernel and vcscale rows against the committed baselines in
+# bench/baselines/ with scripts/bench_compare.py semantics, and every
+# scenario's event census exactly. A >15% throughput drop fails; the
+# threshold is overridable via HNI_BENCH_THRESHOLD (CI runners are not
+# the baseline machine, so CI uses a looser bound to catch only
+# structural regressions, not host lottery). Each other binary's
+# --smoke exit code still asserts its own acceptance (P1's invariant
+# audit at scale, R1/R2's recovery), and every scenario's acceptance
+# block gates goodput/delivery/latency/fairness/restore/audit per
+# scenario: the overload (R3), fairness (R4), protection (R5) and EPD
+# (A5) experiments are fleet rows.
 #
 # Refreshing the baseline after an intentional perf change:
 #   ./build/bench/bench_micro \
@@ -49,9 +50,9 @@ if [[ "$mode" == "--bench-compare" ]]; then
   echo "== perf gate: fleet smoke matrix + committed baselines =="
   cmake -B build -S . > /dev/null
   cmake --build build -j "$(nproc)"
-  # fleet.py runs every scenario and every legacy bench in parallel,
-  # then gates the kernel/vcscale/overload/fairness/protection rows
-  # against bench/baselines/ with bench_compare.py (threshold from
+  # fleet.py runs every scenario and every other bench in parallel,
+  # then gates the kernel/vcscale rows and the event census against
+  # bench/baselines/ with bench_compare.py (threshold from
   # HNI_BENCH_THRESHOLD, same default 0.15 as before).
   python3 scripts/fleet.py --smoke --bench-compare --no-trajectory
   echo "check.sh: perf gate passed"

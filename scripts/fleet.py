@@ -2,8 +2,8 @@
 """Parallel run-matrix driver for the bench fleet.
 
 Runs the declarative scenario matrix (bench_fleet's built-in registry
-plus every ``bench/scenarios/*.scn`` file) and the legacy bench_*
-binaries, in parallel with per-job timeouts, and aggregates one
+plus every ``bench/scenarios/*.scn`` file) and the other bench_*
+binaries the build defines (``<build>/bench/targets.txt``), in parallel with per-job timeouts, and aggregates one
 pass/fail table.  Each scenario writes a machine-readable
 ``BENCH_<scenario>.json`` into the output directory; a one-line summary
 of the whole run is appended to ``bench/trajectory/trajectory.jsonl``
@@ -16,9 +16,9 @@ Usage:
 
 Modes:
     (default)        scenario matrix + legacy --smoke benches
-    --bench-compare  additionally gate the kernel/vcscale/overload/
-                     fairness/protection rows against the committed
-                     baselines in bench/baselines/ using
+    --bench-compare  additionally gate the kernel and vcscale rows
+                     against the committed baselines in bench/baselines/
+                     using
                      scripts/bench_compare.py semantics (threshold from
                      HNI_BENCH_THRESHOLD, default 0.15); with --smoke
                      and the whole matrix, also gate every scenario's
@@ -45,9 +45,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINES = {
     "kernel": ("bench_micro", "benchmark_out"),
     "vcscale": ("bench_p2_vc_scale", "json"),
-    "overload": ("bench_r3_overload", "json"),
-    "fairness": ("bench_r4_fairness", "json"),
-    "protection": ("bench_r5_protection", "json"),
 }
 
 # bench_micro rows gated against bench/baselines/BENCH_kernel.json: the
@@ -165,10 +162,11 @@ def merge_census(scenario_jsons, dest):
         except (OSError, ValueError):
             continue  # a failed scenario: its rows read as MISSING
         rows += [r for r in doc.get("benchmarks", []) if r.get("exact")]
-    with open(dest, "w") as f:
-        json.dump({"context": {"executable": "bench_fleet --smoke"},
-                   "benchmarks": rows}, f, indent=1)
-        f.write("\n")
+    with open(dest, "w") as f:  # one row per line, like bench_fleet's
+        f.write('{"context": {"executable": "bench_fleet --smoke"},\n'
+                ' "benchmarks": [\n  ')
+        f.write(",\n  ".join(json.dumps(r) for r in rows))
+        f.write("\n ]\n}\n")
 
 
 def compare_baselines(build_dir, threshold, census):
@@ -246,10 +244,15 @@ def main(argv=None):
         jobs.append(Job(name, "scenario", cmd, args.timeout))
 
     if not args.skip_legacy:
-        for path in sorted(glob.glob(os.path.join(bench_dir, "bench_*"))):
-            binary = os.path.basename(path)
-            if binary == "bench_fleet" or not os.access(path, os.X_OK):
-                continue
+        targets = os.path.join(bench_dir, "targets.txt")
+        if not os.path.exists(targets):
+            print("fleet.py: %s missing (re-run cmake)" % targets,
+                  file=sys.stderr)
+            return 2
+        with open(targets) as f:
+            binaries = sorted(set(f.read().split()) - {"bench_fleet"})
+        for binary in binaries:
+            path = os.path.join(bench_dir, binary)
             if binary == "bench_micro":
                 # bench_micro maps --smoke/--json onto google-benchmark
                 # flags itself; --bench-compare needs the 3-repetition

@@ -123,6 +123,14 @@ class CompareTest(unittest.TestCase):
         cand = self.write("c.json", doc([exact_row("c/total", 3.0)]))
         self.assertEqual(self.run_gate(base, cand), 1)
 
+    def test_new_exact_row_fails(self):
+        # A new scenario's census must be recorded before it is gated;
+        # without the baseline row it would never be gated at all.
+        base = self.write("b.json", doc([exact_row("c/total", 3.0)]))
+        cand = self.write("c.json", doc([exact_row("c/total", 3.0),
+                                         exact_row("new/total", 7.0)]))
+        self.assertEqual(self.run_gate(base, cand), 1)
+
     def test_exact_baseline_alone_is_a_valid_baseline(self):
         # A census-only baseline is not "empty" (that is exit 2); mixed
         # with rate rows, each row keeps its own rule.

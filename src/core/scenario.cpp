@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -10,6 +11,7 @@ namespace hni::core {
 namespace {
 constexpr sim::Time kDrain = sim::milliseconds(10);
 constexpr sim::Time kMaxDrain = sim::seconds(1);  // a wedged host's bound
+constexpr sim::Time kInFlightGuard = sim::microseconds(100);
 }  // namespace
 
 Meas::Meas(std::size_t flows)
@@ -21,6 +23,13 @@ void Meas::deliver(std::size_t flow, const aal::Bytes& sdu,
                    const host::RxInfo& info) {
   const bool intact = aal::verify_pattern(sdu);
   if (!intact) ++pattern_failures_;
+  const sim::Time now = info.handed_up_time;
+  if (outage_start_ && !settled_ && now > *outage_start_ + kInFlightGuard) {
+    ++books_.outages;
+    books_.restore_max_us = std::max(
+        books_.restore_max_us, sim::to_microseconds(now - *outage_start_));
+    outage_start_.reset();
+  }
   if (flow >= books_.flow_bytes.size()) return;
   if (intact && !settled_ && sdu.size() >= 8) {
     std::uint64_t tag = 0;
@@ -35,6 +44,10 @@ void Meas::deliver(std::size_t flow, const aal::Bytes& sdu,
   books_.flow_bytes[flow] += sdu.size();
   books_.latency_us.add(
       sim::to_microseconds(info.handed_up_time - info.first_cell_time));
+}
+
+void Meas::cut(sim::Time now) {
+  if (measuring_ && !outage_start_) outage_start_ = now;
 }
 
 void Meas::run(Testbed& bed, const Sources& sources, sim::Time warmup,
@@ -120,7 +133,7 @@ P2pResult run_p2p(const P2pConfig& config) {
   });
   for (auto& s : sources) s->start();
   schedule_flaps(bed, config.flap_period, config.flap_down, ab, ba,
-                 config.warmup + config.measure);
+                 config.warmup + config.measure, meas);
 
   // Warm up, then snapshot counters and measure.
   std::uint64_t sent0 = 0;
@@ -201,6 +214,8 @@ void finish_result(const ScenarioSpec& spec, ScenarioResult& r,
   r.jain_weighted = jain_index(normalised);
   r.events = w.events;
   r.cells_delivered = w.cells_delivered;
+  r.outages = w.outages;
+  r.restore_max_us = w.restore_max_us;
   if (w.latency_us.count() > 0) {
     r.latency_mean_us = w.latency_us.mean();
     r.latency_max_us = w.latency_us.max();
@@ -227,12 +242,14 @@ void fold_run(Digest& d, const std::vector<sim::TraceEvent>& trace,
 }
 
 void schedule_flaps(Testbed& bed, sim::Time period, sim::Time down,
-                    net::Link* ab, net::Link* ba, sim::Time horizon) {
+                    net::Link* ab, net::Link* ba, sim::Time horizon,
+                    Meas& meas) {
   if (period <= 0 || ab == nullptr) return;
   for (sim::Time cut = 0; cut + down <= horizon; cut += period) {
-    bed.sim().after(cut, [ab, ba] {
+    bed.sim().after(cut, [ab, ba, &bed, &meas] {
       ab->set_down(true);
       if (ba != nullptr) ba->set_down(true);
+      meas.cut(bed.now());
     });
     bed.sim().after(cut + down, [ab, ba] {
       ab->set_down(false);

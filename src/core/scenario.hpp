@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,10 @@ struct WindowBooks {
   // to stations in-window (Testbed::cells_received): the work unit.
   sim::Census events{};
   std::uint64_t cells_delivered = 0;
+  // Flap cuts in the window, and the worst time from a cut to the first
+  // delivery past the in-flight guard (see Meas::cut).
+  std::uint64_t outages = 0;
+  double restore_max_us = 0.0;
 };
 
 struct P2pResult {
@@ -109,6 +114,12 @@ class Meas {
   void deliver(std::size_t flow, const aal::Bytes& sdu,
                const host::RxInfo& info);
 
+  /// A flap cut the link at `now`. In the window, it starts an outage
+  /// that the first delivery more than 100 us later (cells past the cut
+  /// still landing are not restoration) ends; cuts while one is open
+  /// extend it.
+  void cut(sim::Time now);
+
   /// From now: `warmup`, then the `window` (opened by an event scheduled
   /// now, so it precedes anything else due at that instant), then the
   /// sources (flow i = sources[i]) stop and the network drains: 10 ms,
@@ -126,6 +137,7 @@ class Meas {
   bool settled_ = false;  // drained: late SDUs no longer count
   std::vector<std::uint64_t> first_sdu_;  // per flow: first in-window SDU
   std::uint64_t pattern_failures_ = 0;
+  std::optional<sim::Time> outage_start_;
 };
 
 /// The window-derived fields of a fleet result: per-flow and total
@@ -142,7 +154,9 @@ void fold_run(Digest& d, const std::vector<sim::TraceEvent>& trace,
 
 /// Square-wave outage on a duplex link pair (`ba` may be null): down
 /// for `down` at the head of every `period` from now until `horizon`.
+/// Each cut is also reported to `meas` for restore timing.
 void schedule_flaps(Testbed& bed, sim::Time period, sim::Time down,
-                    net::Link* ab, net::Link* ba, sim::Time horizon);
+                    net::Link* ab, net::Link* ba, sim::Time horizon,
+                    Meas& meas);
 
 }  // namespace hni::core

@@ -1,10 +1,15 @@
 #include "core/scenario_spec.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace hni::core {
@@ -66,13 +71,35 @@ bool parse_bool(const std::string& v, bool& out) {
 bool parse_double(const std::string& v, double& out) {
   char* end = nullptr;
   out = std::strtod(v.c_str(), &end);
-  return end != v.c_str() && *end == '\0';
+  return end != v.c_str() && *end == '\0' && std::isfinite(out);
 }
 
+// A finite value at or above zero: rates, burst lengths, floors.
+bool parse_nonneg(const std::string& v, double& out) {
+  return parse_double(v, out) && out >= 0;
+}
+
+// strtoull would accept a sign (and wrap "-1" to 2^64 - 1).
 bool parse_u64(const std::string& v, std::uint64_t& out) {
+  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))) {
+    return false;
+  }
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(v.c_str(), &end, 10);
-  return end != v.c_str() && *end == '\0';
+  return *end == '\0' && errno == 0;
+}
+
+// A microsecond count whose picosecond sim::Time does not overflow.
+bool parse_us(const std::string& v, sim::Time& out) {
+  std::uint64_t u = 0;
+  if (!parse_u64(v, u) ||
+      u > static_cast<std::uint64_t>(std::numeric_limits<sim::Time>::max() /
+                                     sim::kMicrosecond)) {
+    return false;
+  }
+  out = static_cast<sim::Time>(u) * sim::kMicrosecond;
+  return true;
 }
 
 std::string trim(const std::string& s) {
@@ -116,14 +143,16 @@ bool parse_source(const std::string& value, TrafficSpec& out,
       ok = parse_u64(val, u);
       out.sdu_bytes = static_cast<std::size_t>(u);
     } else if (key == "pcr_mbps") {
-      ok = parse_double(val, out.pcr_mbps);
+      ok = parse_nonneg(val, out.pcr_mbps);
     } else if (key == "scr_mbps") {
-      ok = parse_double(val, out.scr_mbps);
+      ok = parse_nonneg(val, out.scr_mbps);
     } else if (key == "weight") {
       ok = parse_u64(val, u) && u >= 1 && u <= 0xFFFF;
       out.weight = static_cast<std::uint16_t>(u);
     } else if (key == "abr") {
       ok = parse_bool(val, out.abr);
+    } else if (key == "min_mbps") {
+      ok = parse_nonneg(val, out.min_mbps);
     } else {
       error = "unknown source attribute '" + key + "'";
       return false;
@@ -179,6 +208,7 @@ std::string ScenarioSpec::to_text() const {
     if (t.scr_mbps > 0) out << " scr_mbps=" << fmt_double(t.scr_mbps);
     if (t.weight != 1) out << " weight=" << t.weight;
     if (t.abr) out << " abr=on";
+    if (t.min_mbps > 0) out << " min_mbps=" << fmt_double(t.min_mbps);
     out << "\n";
   }
   if (fault.cell_loss_rate > 0) {
@@ -215,6 +245,11 @@ std::string ScenarioSpec::to_text() const {
   if (!accept.digest.empty()) {
     out << "accept_digest = " << accept.digest << "\n";
   }
+  if (accept.max_restore_us > 0) {
+    out << "accept_restore_us = " << fmt_double(accept.max_restore_us)
+        << "\n";
+  }
+  if (accept.ablation) out << "ablation = on\n";
   return out.str();
 }
 
@@ -222,6 +257,7 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
                     std::string& error) {
   out = ScenarioSpec{};
   out.traffic.clear();
+  bool has_switches = false;
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -262,17 +298,15 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
     } else if (key == "switches") {
       ok = parse_u64(val, u) && u >= 2 && u <= 16;
       out.switches = static_cast<std::size_t>(u);
+      has_switches = true;
     } else if (key == "seed") {
       ok = parse_u64(val, out.seed);
     } else if (key == "warmup_us") {
-      ok = parse_u64(val, u);
-      out.warmup = static_cast<sim::Time>(u) * sim::kMicrosecond;
+      ok = parse_us(val, out.warmup);
     } else if (key == "measure_us") {
-      ok = parse_u64(val, u) && u > 0;
-      out.measure = static_cast<sim::Time>(u) * sim::kMicrosecond;
+      ok = parse_us(val, out.measure) && out.measure > 0;
     } else if (key == "smoke_measure_us") {
-      ok = parse_u64(val, u) && u > 0;
-      out.smoke_measure = static_cast<sim::Time>(u) * sim::kMicrosecond;
+      ok = parse_us(val, out.smoke_measure) && out.smoke_measure > 0;
     } else if (key == "line") {
       if (val == "sts3c") {
         out.sts12 = false;
@@ -318,26 +352,29 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
       if (!parse_source(val, t, serr)) return fail(serr);
       out.traffic.push_back(t);
     } else if (key == "loss_rate") {
-      ok = parse_double(val, out.fault.cell_loss_rate);
+      ok = parse_nonneg(val, out.fault.cell_loss_rate) &&
+           out.fault.cell_loss_rate < 1.0;
     } else if (key == "loss_burst") {
-      ok = parse_double(val, out.fault.loss_burst_cells);
+      ok = parse_nonneg(val, out.fault.loss_burst_cells);
     } else if (key == "flap_period_us") {
-      ok = parse_u64(val, u);
-      out.fault.flap_period = static_cast<sim::Time>(u) * sim::kMicrosecond;
+      ok = parse_us(val, out.fault.flap_period);
     } else if (key == "flap_down_us") {
-      ok = parse_u64(val, u);
-      out.fault.flap_down = static_cast<sim::Time>(u) * sim::kMicrosecond;
+      ok = parse_us(val, out.fault.flap_down);
     } else if (key == "sig_drop") {
       ok = parse_double(val, out.fault.sig_drop_rate) &&
            out.fault.sig_drop_rate >= 0 && out.fault.sig_drop_rate < 1.0;
     } else if (key == "accept_goodput_mbps") {
-      ok = parse_double(val, out.accept.min_goodput_mbps);
+      ok = parse_nonneg(val, out.accept.min_goodput_mbps);
     } else if (key == "accept_delivery") {
-      ok = parse_double(val, out.accept.min_delivery_ratio);
+      ok = parse_nonneg(val, out.accept.min_delivery_ratio);
     } else if (key == "accept_latency_us") {
-      ok = parse_double(val, out.accept.max_latency_us);
+      ok = parse_nonneg(val, out.accept.max_latency_us);
     } else if (key == "accept_jain") {
-      ok = parse_double(val, out.accept.min_jain);
+      ok = parse_nonneg(val, out.accept.min_jain);
+    } else if (key == "accept_restore_us") {
+      ok = parse_nonneg(val, out.accept.max_restore_us);
+    } else if (key == "ablation") {
+      ok = parse_bool(val, out.accept.ablation);
     } else if (key == "accept_audit") {
       ok = parse_bool(val, out.accept.audit_clean);
     } else if (key == "accept_determinism") {
@@ -356,6 +393,25 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
   if (out.fault.flap_period > 0 &&
       out.fault.flap_down >= out.fault.flap_period) {
     error = "flap_down_us must be below flap_period_us";
+    return false;
+  }
+  // to_text() writes switches only for a line, so it would not survive.
+  if (has_switches && out.topology != ScenarioSpec::Topology::kLine) {
+    error = "switches is allowed only with topology = line";
+    return false;
+  }
+  if (out.accept.max_restore_us > 0 && out.fault.flap_period == 0) {
+    error = "accept_restore_us needs flap_period_us";
+    return false;
+  }
+  const AcceptanceSpec& a = out.accept;
+  if (a.ablation && !(a.min_goodput_mbps > 0 || a.min_delivery_ratio > 0 ||
+                      a.min_jain > 0 ||
+                      std::any_of(out.traffic.begin(), out.traffic.end(),
+                                  [](const TrafficSpec& t) {
+                                    return t.min_mbps > 0;
+                                  }))) {
+    error = "ablation = on needs a floor to miss";
     return false;
   }
   return true;
@@ -400,25 +456,37 @@ void evaluate_acceptance(const ScenarioSpec& spec, ScenarioResult& r) {
     return;
   }
   const AcceptanceSpec& a = spec.accept;
-  if (a.min_goodput_mbps > 0 && r.goodput_mbps < a.min_goodput_mbps) {
-    miss("goodput %.2f Mb/s below floor %.2f", r.goodput_mbps,
-         a.min_goodput_mbps);
-  }
+  // A floor is a miss when the result falls below it; on an ablation
+  // row the miss is reaching it.
+  const auto check_floor = [&](const std::string& what, double got, double want) {
+    if (want <= 0) return;
+    if (!a.ablation && got < want) {
+      miss("%s %.4f below floor %.4f", what.c_str(), got, want);
+    } else if (a.ablation && got >= want) {
+      miss("ablation: %s %.4f reached floor %.4f", what.c_str(), got, want);
+    }
+  };
+  check_floor("goodput Mb/s", r.goodput_mbps, a.min_goodput_mbps);
   // Always on: the ratio counts in-window SDUs only, so above 1 means
   // the window books themselves are wrong.
   if (r.delivery_ratio > 1.0) {
     miss("delivery ratio %.3f above 1", r.delivery_ratio);
   }
-  if (a.min_delivery_ratio > 0 && r.delivery_ratio < a.min_delivery_ratio) {
-    miss("delivery ratio %.3f below floor %.3f", r.delivery_ratio,
-         a.min_delivery_ratio);
-  }
+  check_floor("delivery ratio", r.delivery_ratio, a.min_delivery_ratio);
   if (a.max_latency_us > 0 && r.latency_mean_us > a.max_latency_us) {
     miss("mean latency %.1f us above ceiling %.1f", r.latency_mean_us,
          a.max_latency_us);
   }
-  if (a.min_jain > 0 && r.jain_weighted < a.min_jain) {
-    miss("weighted Jain %.4f below floor %.4f", r.jain_weighted, a.min_jain);
+  check_floor("weighted Jain", r.jain_weighted, a.min_jain);
+  for (std::size_t i = 0; i < spec.traffic.size(); ++i) {
+    check_floor("source " + std::to_string(i) + " Mb/s",
+          i < r.per_flow_mbps.size() ? r.per_flow_mbps[i] : 0.0,
+          spec.traffic[i].min_mbps);
+  }
+  if (a.max_restore_us > 0 &&
+      (r.outages == 0 || r.restore_max_us > a.max_restore_us)) {
+    miss("worst restore %.1f us over %" PRIu64 " outages, ceiling %.1f",
+         r.restore_max_us, r.outages, a.max_restore_us);
   }
   if (a.audit_clean && (!r.audit_clean || r.stranded != 0)) {
     miss("conservation audit failed (clean=%d stranded=%" PRIu64 ")",

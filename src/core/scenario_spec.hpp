@@ -29,6 +29,10 @@
 //   source     = cbr rate_mbps=90 sdu=9180 weight=4
 //   accept_jain = 0.97
 //
+// Acceptance keys start with accept_; `ablation = on` turns every floor
+// into a ceiling the row must stay under, and `min_mbps=` on a source
+// line is that source's delivered-rate floor.
+//
 // to_text() emits the canonical form; parse(to_text(s)) round-trips.
 
 #pragma once
@@ -53,6 +57,7 @@ struct TrafficSpec {
   double scr_mbps = 0.0;       // > 0 adds a trTCM meter (VBR contract)
   std::uint16_t weight = 1;    // DWRR share at switch output queues
   bool abr = false;            // ERICA explicit-rate participant
+  double min_mbps = 0.0;       // delivered-rate floor; 0 = off
 };
 
 /// The fault profile applied while the measurement window runs.
@@ -81,6 +86,13 @@ struct AcceptanceSpec {
   bool audit_clean = true;         // conservation books must balance
   bool determinism = false;        // run twice; digests must match
   std::string digest;              // expected golden digest; "" = off
+  /// Ceiling on the worst cut-to-first-delivery time over the flaps in
+  /// the window (a 100 us in-flight guard excluded); a flapping row
+  /// that sees no outage fails. 0 = off.
+  double max_restore_us = 0.0;
+  /// The row is an ablation: every floor it sets (goodput, delivery,
+  /// Jain, per-source min_mbps) must be missed; the audit still holds.
+  bool ablation = false;
 };
 
 struct ScenarioSpec {
@@ -148,6 +160,8 @@ struct ScenarioResult {
   double latency_max_us = 0.0;
   double jain_weighted = 1.0;
   std::vector<double> per_flow_mbps;
+  std::uint64_t outages = 0;  // flap cuts in the window that restored
+  double restore_max_us = 0.0;
   std::uint64_t calls_connected = 0;
   std::uint64_t reroutes = 0;
   std::uint64_t stranded = 0;

@@ -21,7 +21,8 @@ namespace hni::nic {
 /// Closed-loop congestion control: EFCI marks observed on RX turn into
 /// backward RM cells; RM cells received on TX VCs throttle the source
 /// multiplicatively and recover after a quiet period. Disabled by
-/// default — the overload plane is opt-in (bench_r3 is the consumer).
+/// default — the overload plane is opt-in (the fleet's efci_rm and
+/// abr_loop rows, mux-overload-on-* among them, turn it on).
 struct CongestionControlConfig {
   bool enabled = false;
   /// EFCI marks on a VC within `window` that trigger one backward RM.

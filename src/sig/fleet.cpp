@@ -39,8 +39,10 @@ net::SduSource::Config source_config(const ScenarioSpec& spec,
   switch (t.kind) {
     case TrafficSpec::Kind::kCbr:
       cfg.mode = net::SduSource::Mode::kCbr;
-      // A tiny per-flow detune keeps synchronized CBR periods from
-      // phase-locking against shared thresholds (same trick as R4).
+      // A tiny per-flow detune: equal CBR periods would otherwise keep
+      // the same phase against each other and against a discard gate,
+      // so one flow would meet a full queue every time and the shares
+      // would depend on start order instead of on the scheduler.
       cfg.interval = static_cast<sim::Time>(
           static_cast<double>(gap) * (1.0 + 0.0137 * static_cast<double>(i)));
       break;
@@ -81,9 +83,12 @@ net::SwitchConfig switch_config(const ScenarioSpec& spec, std::size_t ports) {
       break;
   }
   if (spec.per_vc_books) {
-    // Per-VC accounting as R4 sized it: gate fresh frames on the VC's
-    // own queue, cap residency, keep the shared pool above the sum of
-    // caps so only the per-VC books bind.
+    // Per-VC accounting: gate fresh frames on the VC's own queue once
+    // it holds a 192-cell 9180-byte PDU plus slack (at the 2048-cell
+    // pool the builtins use), so a slow flow keeps a standing backlog
+    // between service turns; cap residency one PDU past the gate, so an
+    // admitted frame never overruns mid-PDU; keep the shared pool above
+    // the sum of the caps, so only the per-VC books bind.
     swc.vc_epd_cells = spec.queue_cells / 8;
     swc.vc_queue_cells = spec.queue_cells / 4;
     swc.epd_threshold = 0;
@@ -312,7 +317,7 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   if (nsw > 1) {
     const auto [ab, ba] = net.trunk_links(flap_trunk);
     core::schedule_flaps(bed, spec.fault.flap_period, spec.fault.flap_down,
-                         ab, ba, spec.warmup + window);
+                         ab, ba, spec.warmup + window, meas);
   }
   meas.run(bed, gens, spec.warmup, window);
   tearing_down = true;
@@ -454,6 +459,7 @@ std::vector<ScenarioSpec> make_builtins() {
     s.fault.flap_down = sim::milliseconds(1);
     s.accept.min_delivery_ratio = 0.60;
     s.accept.min_goodput_mbps = 20;
+    s.accept.max_restore_us = 1800;
     all.push_back(s);
   }
   {  // Signalled calls under 5% signalling loss: timers carry setup.
@@ -500,6 +506,55 @@ std::vector<ScenarioSpec> make_builtins() {
     s.accept.min_goodput_mbps = 70;
     all.push_back(s);
   }
+  {  // The overload plane on and off across offered load: six sources
+     // into one STS-3c port, their 1x shares summing to its AAL5 ceiling
+     // at 9180-byte PDUs. Two CBR calls hold a PCR contract 5% over the
+     // 1x share at every load; two on/off VBR and two Poisson UBR flows
+     // are elastic. On: EPD, colour-aware WRED, round-robin and the
+     // EFCI/RM loop; goodput at 4x holds within 15% of 1x. Off: one
+     // tail-drop FIFO; at 4x the CBR calls and the shares collapse (the
+     // ablation row). Floors sit at 0.85 of the measured goodput and CBR
+     // rate, the 4x one at 0.85 of 1x's.
+    constexpr double kCeiling = 135.1;
+    const double port =  // payload Mb/s of the port's cell rate
+        atm::sts3c().cells_per_second() * kPayloadBitsPerCell / 1e6;
+    struct Load {
+      const char* name;
+      double load, on_floor, off_floor, cbr_floor;
+    };
+    for (const bool on : {true, false}) {
+      for (const Load& l :
+           {Load{"0.5x", 0.5, 74, 74, 8.8}, Load{"1x", 1, 106, 91, 16.9},
+            Load{"2x", 2, 106, 61, 16.3}, Load{"4x", 4, 106, 0, 12.5}}) {
+        ScenarioSpec s;
+        s.name = std::string("mux-overload-") + (on ? "on-" : "off-") + l.name;
+        s.plane = "overload";
+        s.topology = ScenarioSpec::Topology::kMux;
+        s.seed = 30;
+        s.warmup = sim::milliseconds(10);
+        s.measure = sim::milliseconds(200);
+        s.smoke_measure = sim::milliseconds(100);
+        s.epd_threshold = on ? 512 : 0;
+        s.wred = s.efci_rm = on;
+        s.scheduler = on ? ScenarioSpec::Scheduler::kRoundRobin
+                         : ScenarioSpec::Scheduler::kFifo;
+        const auto mix = [&](K kind, double share) {
+          return source(kind, share * kCeiling * l.load, 9180);
+        };
+        s.traffic = {mix(K::kCbr, 0.15),   mix(K::kCbr, 0.15),
+                     mix(K::kOnOff, 0.20), mix(K::kOnOff, 0.10),
+                     mix(K::kPoisson, 0.20), mix(K::kPoisson, 0.20)};
+        s.traffic[0].pcr_mbps = s.traffic[1].pcr_mbps = 1.05 * 0.15 * port;
+        s.accept.min_goodput_mbps = on ? l.on_floor : l.off_floor;
+        s.accept.ablation = !on && l.load == 4;
+        if (on || s.accept.ablation) {
+          s.traffic[0].min_mbps = s.traffic[1].min_mbps = l.cbr_floor;
+        }
+        if (s.accept.ablation) s.accept.min_jain = 0.82;  // on-4x: 0.96
+        all.push_back(s);
+      }
+    }
+  }
   {  // 2x overload with the frame-aware discard plane on.
     ScenarioSpec s;
     s.name = "mux-overload-epd";
@@ -513,8 +568,28 @@ std::vector<ScenarioSpec> make_builtins() {
     s.scheduler = ScenarioSpec::Scheduler::kRoundRobin;
     s.traffic = {source(K::kPoisson, 65, 9180), source(K::kPoisson, 65, 9180),
                  source(K::kPoisson, 65, 9180), source(K::kPoisson, 65, 9180)};
-    s.accept.min_goodput_mbps = 95;
+    s.accept.min_goodput_mbps = 116;
     all.push_back(s);
+    // The discard-policy sweep on the same plant and seed, each on a
+    // shared FIFO without WRED: tail drop, EPD with too little headroom
+    // above its threshold, EPD alone, EPD in a 128-cell buffer.
+    struct Policy {
+      const char* name;
+      std::size_t queue, epd;
+      double floor;
+    };
+    for (const Policy& p : {Policy{"taildrop", 1024, 0, 72},
+                            Policy{"undersized", 1024, 896, 97},
+                            Policy{"fifo", 1024, 512, 114},
+                            Policy{"small-buffer", 128, 64, 79}}) {
+      s.name = std::string("mux-epd-") + p.name;
+      s.queue_cells = p.queue;
+      s.epd_threshold = p.epd;
+      s.wred = false;
+      s.scheduler = ScenarioSpec::Scheduler::kFifo;
+      s.accept.min_goodput_mbps = p.floor;
+      all.push_back(s);
+    }
   }
   {  // 2x overload with the closed EFCI/RM loop throttling sources.
     ScenarioSpec s;
@@ -548,7 +623,7 @@ std::vector<ScenarioSpec> make_builtins() {
     s.traffic = {source(K::kCbr, 90, 9180, 0, 0, /*weight=*/1),
                  source(K::kCbr, 90, 9180, 0, 0, /*weight=*/2),
                  source(K::kCbr, 90, 9180, 0, 0, /*weight=*/4)};
-    s.accept.min_jain = 0.95;
+    s.accept.min_jain = 0.998;
     all.push_back(s);
   }
   {  // ERICA explicit-rate ABR: four equal participants at 2x.
@@ -604,7 +679,17 @@ std::vector<ScenarioSpec> make_builtins() {
     s.traffic = {source(K::kCbr, 20, 1500, /*pcr=*/50),
                  source(K::kCbr, 20, 1500, /*pcr=*/50),
                  source(K::kCbr, 20, 1500, /*pcr=*/50)};
-    s.accept.min_delivery_ratio = 0.80;
+    s.accept.min_goodput_mbps = 49.3;
+    s.accept.min_delivery_ratio = 0.83;
+    s.accept.max_restore_us = 640;
+    all.push_back(s);
+    // Protection off: every 13 ms outage is eaten in full.
+    s.name = "triangle-protection-off";
+    s.protection = false;
+    s.accept.min_goodput_mbps = 0;
+    s.accept.min_delivery_ratio = 0.40;
+    s.accept.max_restore_us = 0;
+    s.accept.ablation = true;
     all.push_back(s);
   }
   {  // Same spec + seed must digest identically, run to run.

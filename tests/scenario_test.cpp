@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/scenario_spec.hpp"
 #include "sig/fleet.hpp"
 
@@ -37,6 +39,7 @@ ScenarioSpec rich_spec() {
   t.scr_mbps = 45;
   t.weight = 4;
   t.abr = true;
+  t.min_mbps = 20;
   s.traffic = {t};
   s.fault.cell_loss_rate = 1e-3;
   s.fault.loss_burst_cells = 8;
@@ -50,6 +53,8 @@ ScenarioSpec rich_spec() {
   s.accept.audit_clean = false;
   s.accept.determinism = true;
   s.accept.digest = "deadbeefdeadbeef";
+  s.accept.max_restore_us = 1500;
+  s.accept.ablation = true;
   return s;
 }
 
@@ -68,6 +73,9 @@ TEST(ScenarioCodec, ToTextParsesBackIdentically) {
   EXPECT_TRUE(b.traffic.at(0).abr);
   EXPECT_FALSE(b.sig_audit);
   EXPECT_FALSE(b.accept.audit_clean);
+  EXPECT_EQ(b.traffic.at(0).min_mbps, 20);
+  EXPECT_EQ(b.accept.max_restore_us, 1500);
+  EXPECT_TRUE(b.accept.ablation);
 }
 
 TEST(ScenarioCodec, EveryBuiltinRoundTrips) {
@@ -77,6 +85,80 @@ TEST(ScenarioCodec, EveryBuiltinRoundTrips) {
     ASSERT_TRUE(parse_scenario(s.to_text(), back, error))
         << s.name << ": " << error;
     EXPECT_EQ(s.to_text(), back.to_text()) << s.name;
+  }
+}
+
+// The committed .scn files, the ones carrying ablation and min_mbps
+// among them, survive parse -> to_text -> parse unchanged.
+TEST(ScenarioCodec, EveryScnFileRoundTrips) {
+  std::string all_text;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HNI_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".scn") continue;
+    ScenarioSpec a, b;
+    std::string error;
+    ASSERT_TRUE(load_scenario_file(entry.path().string(), a, error)) << error;
+    ASSERT_TRUE(parse_scenario(a.to_text(), b, error))
+        << entry.path() << ": " << error;
+    EXPECT_EQ(a.to_text(), b.to_text()) << entry.path();
+    all_text += a.to_text();
+  }
+  EXPECT_NE(all_text.find("ablation = on"), std::string::npos);
+  EXPECT_NE(all_text.find(" min_mbps="), std::string::npos);
+}
+
+// Out-of-range numbers are spec errors (exit 2 in bench_fleet), never a
+// run that passes on nonsense, hangs or aborts.
+TEST(ScenarioCodec, OutOfRangeValuesAreRejected) {
+  const std::string head =
+      "name = range\nsource = cbr rate_mbps=10 sdu=1500\n";
+  struct Case {
+    const char* line;
+    const char* named;  // the error must name the key
+  };
+  const Case cases[] = {
+      {"measure_us = -1", "measure_us"},  // strtoull took the sign
+      {"warmup_us = +5", "warmup_us"},
+      {"warmup_us = 20000000000000", "warmup_us"},  // ps overflow
+      {"measure_us = 9223372036855", "measure_us"},
+      {"smoke_measure_us = 99999999999999999999", "smoke_measure_us"},
+      {"flap_period_us = 9300000000000", "flap_period_us"},
+      {"flap_down_us = -2", "flap_down_us"},
+      {"seed = -3", "seed"},
+      {"queue_cells = -1", "queue_cells"},
+      {"loss_rate = 2", "loss_rate"},
+      {"loss_rate = 1", "loss_rate"},
+      {"loss_rate = -0.5", "loss_rate"},
+      {"loss_rate = nan", "loss_rate"},
+      {"loss_burst = -1", "loss_burst"},
+      {"source = cbr rate_mbps=10 sdu=1500 pcr_mbps=-5", "pcr_mbps"},
+      {"source = cbr rate_mbps=10 sdu=1500 scr_mbps=-1", "scr_mbps"},
+      {"source = cbr rate_mbps=10 sdu=1500 min_mbps=-1", "min_mbps"},
+      {"source = cbr rate_mbps=inf sdu=1500", "rate_mbps"},
+      {"accept_goodput_mbps = -1", "accept_goodput_mbps"},
+      {"accept_delivery = -0.1", "accept_delivery"},
+      {"accept_latency_us = -1", "accept_latency_us"},
+      {"accept_jain = -1", "accept_jain"},
+      {"accept_restore_us = -1", "accept_restore_us"},
+      {"switches = 3", "switches"},  // p2p: to_text would drop it
+      {"accept_restore_us = 500", "accept_restore_us"},  // nothing flaps
+      {"ablation = on", "ablation"},  // no floor to miss
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec out;
+    std::string error;
+    EXPECT_FALSE(parse_scenario(head + c.line + "\n", out, error)) << c.line;
+    EXPECT_NE(error.find(c.named), std::string::npos)
+        << c.line << " -> " << error;
+  }
+  for (const char* edge :
+       {"loss_rate = 0", "loss_rate = 0.999", "measure_us = 9223372036854",
+        "topology = line\nswitches = 3", "accept_jain = 0",
+        "ablation = on\naccept_jain = 0.9"}) {
+    ScenarioSpec out;
+    std::string error;
+    EXPECT_TRUE(parse_scenario(head + edge + "\n", out, error))
+        << edge << " -> " << error;
   }
 }
 
@@ -188,21 +270,74 @@ TEST(Acceptance, CleanRunPasses) {
 TEST(Acceptance, EachFloorFailsIndependently) {
   ScenarioSpec s;
   s.traffic.emplace_back();
+  s.traffic[0].min_mbps = 70;
   s.accept.min_goodput_mbps = 70;
   s.accept.min_delivery_ratio = 0.95;
   s.accept.max_latency_us = 500;
   s.accept.min_jain = 0.95;
+  s.accept.max_restore_us = 5000;
 
   ScenarioResult r = passing_result();
   r.goodput_mbps = 60;
   r.delivery_ratio = 0.5;
   r.latency_mean_us = 900;
   r.jain_weighted = 0.4;
+  r.per_flow_mbps = {60};
+  r.outages = 2;
+  r.restore_max_us = 5500;
   r.audit_clean = false;
   evaluate_acceptance(s, r);
   EXPECT_FALSE(r.accepted());
-  // One failure line per missed criterion: four floors plus the audit.
-  EXPECT_EQ(r.failures.size(), 5u);
+  // One failure line per missed criterion: four floors, the source
+  // floor, the restore ceiling, and the audit.
+  EXPECT_EQ(r.failures.size(), 7u);
+}
+
+// An ablation passes when every floor it sets is missed, fails once per
+// floor still reached, and keeps the audit as it is.
+TEST(Acceptance, AblationMustMissEveryFloor) {
+  ScenarioSpec s;
+  s.traffic.emplace_back();
+  s.traffic[0].min_mbps = 50;
+  s.accept.min_goodput_mbps = 70;
+  s.accept.min_delivery_ratio = 0.95;
+  s.accept.min_jain = 0.95;
+  s.accept.ablation = true;
+
+  ScenarioResult collapsed = passing_result();
+  collapsed.goodput_mbps = 10;
+  collapsed.delivery_ratio = 0.3;
+  collapsed.jain_weighted = 0.4;
+  collapsed.per_flow_mbps = {10};
+  ScenarioResult dirty = collapsed;
+  evaluate_acceptance(s, collapsed);
+  EXPECT_TRUE(collapsed.accepted()) << collapsed.failures.at(0);
+
+  ScenarioResult held = passing_result();
+  held.per_flow_mbps = {80};
+  evaluate_acceptance(s, held);
+  EXPECT_EQ(held.failures.size(), 4u);
+
+  dirty.audit_clean = false;
+  evaluate_acceptance(s, dirty);
+  ASSERT_EQ(dirty.failures.size(), 1u);
+  EXPECT_NE(dirty.failures[0].find("audit"), std::string::npos);
+}
+
+TEST(Acceptance, RestoreCeilingNeedsAnOutage) {
+  ScenarioSpec s;
+  s.traffic.emplace_back();
+  s.accept.max_restore_us = 5000;
+  ScenarioResult r = passing_result();
+  r.outages = 3;
+  r.restore_max_us = 1200;
+  evaluate_acceptance(s, r);
+  EXPECT_TRUE(r.accepted());
+
+  // A flapping row that never saw an outage restore proves nothing.
+  ScenarioResult none = passing_result();
+  evaluate_acceptance(s, none);
+  EXPECT_FALSE(none.accepted());
 }
 
 TEST(Acceptance, SetupFailureIsItsOwnMiss) {
@@ -285,6 +420,57 @@ TEST(FleetRunner, SameSpecSameDigest) {
   reseeded.seed = 6;
   const ScenarioResult b = sig::run_scenario(reseeded, /*smoke=*/true);
   EXPECT_NE(a.digest, b.digest);
+}
+
+// With one VC there is nothing to schedule: FIFO, round-robin and DWRR
+// must deliver the same bytes at the same times.
+TEST(FleetRunner, OneSourceDeliversAlikeUnderEveryScheduler) {
+  ScenarioSpec s;
+  s.name = "sched-diff";
+  s.topology = ScenarioSpec::Topology::kMux;
+  s.seed = 9;
+  s.warmup = sim::milliseconds(1);
+  s.measure = sim::milliseconds(10);
+  TrafficSpec t;
+  t.kind = TrafficSpec::Kind::kPoisson;
+  t.rate_mbps = 110;
+  t.sdu_bytes = 9180;
+  s.traffic = {t};
+  std::vector<ScenarioResult> runs;
+  for (const auto sched :
+       {ScenarioSpec::Scheduler::kFifo, ScenarioSpec::Scheduler::kRoundRobin,
+        ScenarioSpec::Scheduler::kDwrr}) {
+    s.scheduler = sched;
+    runs.push_back(sig::run_scenario(s));
+    ASSERT_TRUE(runs.back().accepted()) << runs.back().failures.at(0);
+  }
+  EXPECT_GT(runs[0].goodput_mbps, 50);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].per_flow_mbps, runs[0].per_flow_mbps) << i;
+    EXPECT_EQ(runs[i].delivery_ratio, runs[0].delivery_ratio) << i;
+    EXPECT_EQ(runs[i].latency_mean_us, runs[0].latency_mean_us) << i;
+    EXPECT_EQ(runs[i].latency_max_us, runs[0].latency_max_us) << i;
+  }
+}
+
+// Restore time runs from each in-window cut to the first delivery past
+// the in-flight guard: at least the outage, and one per cut.
+TEST(FleetRunner, FlapRestoreIsTimedFromTheCut) {
+  ScenarioSpec s;
+  s.name = "restore-probe";
+  s.seed = 3;
+  s.warmup = sim::milliseconds(1);
+  s.measure = sim::milliseconds(20);
+  s.fault.flap_period = sim::milliseconds(5);
+  s.fault.flap_down = sim::milliseconds(1);
+  s.accept.max_restore_us = 4000;
+  TrafficSpec t;
+  t.rate_mbps = 40;
+  s.traffic = {t};
+  const ScenarioResult r = sig::run_scenario(s);
+  EXPECT_TRUE(r.accepted()) << r.failures.at(0);
+  EXPECT_EQ(r.outages, 4u);  // cuts at 5, 10, 15, 20 ms
+  EXPECT_GE(r.restore_max_us, 1000);
 }
 
 // Delivery counts only SDUs generated inside the window, so it cannot

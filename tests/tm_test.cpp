@@ -660,6 +660,17 @@ TEST(SigTraffic, VbrCallInstallsMeterAndCarriesDescriptorToCallee) {
   EXPECT_EQ(sw.cells_metered(),
             sw.cells_meter_green() + sw.cells_meter_yellow() +
                 sw.cells_meter_red());
+
+  // An endpoint that breaks its contract: unshaped, the next PDU leaves
+  // at line rate, past the peak rate too, so the meter spends all three
+  // colours: green within SCR, yellow within PCR, red beyond it.
+  alice.nic().tx().clear_shaper(caller_info.vc);
+  alice.host().send(caller_info.vc, aal::AalType::kAal5,
+                    aal::make_pattern(9180, 6));
+  bed.run_for(sim::milliseconds(5));
+  EXPECT_GT(sw.cells_meter_green(), 0u);
+  EXPECT_GT(sw.cells_meter_yellow(), 0u);
+  EXPECT_GT(sw.cells_meter_red(), 0u);
   auto auditor = bed.audit(/*include_hops=*/false);
   net.audit_invariants(auditor);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
