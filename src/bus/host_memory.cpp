@@ -6,6 +6,38 @@
 
 namespace hni::bus {
 
+void SgList::grow(std::uint32_t capacity) {
+  auto* items = new BufferDescriptor[capacity];
+  std::copy(begin(), end(), items);
+  if (on_heap()) delete[] heap_;
+  heap_ = items;
+  capacity_ = capacity;
+}
+
+void SgList::assign(const SgList& other) {
+  if (other.size_ > capacity_) grow(other.size_);
+  std::copy(other.begin(), other.end(), data());
+  size_ = other.size_;
+}
+
+void SgList::steal(SgList& other) noexcept {
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  if (other.on_heap()) {
+    heap_ = other.heap_;
+  } else {
+    std::copy(other.inline_, other.inline_ + other.size_, inline_);
+  }
+  other.size_ = 0;
+  other.capacity_ = kInline;
+}
+
+void SgList::release() noexcept {
+  if (on_heap()) delete[] heap_;
+  capacity_ = kInline;
+  size_ = 0;
+}
+
 std::size_t sg_length(const SgList& sg) {
   std::size_t n = 0;
   for (const auto& b : sg) n += b.len;
@@ -91,17 +123,21 @@ SgList HostMemory::stage(const aal::Bytes& data) {
 
 aal::Bytes HostMemory::gather(const SgList& sg, std::size_t bytes) const {
   aal::Bytes out(bytes);
+  gather(sg, std::span<std::uint8_t>(out));
+  return out;
+}
+
+void HostMemory::gather(const SgList& sg, std::span<std::uint8_t> out) const {
   std::size_t off = 0;
   for (const auto& b : sg) {
-    if (off >= bytes) break;
-    const std::size_t take = std::min<std::size_t>(b.len, bytes - off);
-    read(b.addr, std::span<std::uint8_t>(out.data() + off, take));
+    if (off >= out.size()) break;
+    const std::size_t take = std::min<std::size_t>(b.len, out.size() - off);
+    read(b.addr, out.subspan(off, take));
     off += take;
   }
-  if (off != bytes) {
+  if (off != out.size()) {
     throw std::length_error("HostMemory::gather: list shorter than bytes");
   }
-  return out;
 }
 
 }  // namespace hni::bus

@@ -25,7 +25,67 @@ struct BufferDescriptor {
 };
 
 /// Scatter/gather list describing one SDU in host memory.
-using SgList = std::vector<BufferDescriptor>;
+///
+/// A small vector: up to kInline buffers (16 KiB of 4 KiB pages, which
+/// covers every SDU up to the 9180-octet IP MTU) live inside the list,
+/// so a descriptor carries its pages without a heap block. Longer lists
+/// spill to the heap. Moving a list copies at most the inline array.
+class SgList {
+ public:
+  static constexpr std::uint32_t kInline = 4;
+
+  SgList() {}
+  SgList(const SgList& other) { assign(other); }
+  SgList(SgList&& other) noexcept { steal(other); }
+  SgList& operator=(const SgList& other) {
+    if (this != &other) {
+      size_ = 0;
+      assign(other);
+    }
+    return *this;
+  }
+  SgList& operator=(SgList&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
+  ~SgList() { release(); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  BufferDescriptor* data() { return on_heap() ? heap_ : inline_; }
+  const BufferDescriptor* data() const { return on_heap() ? heap_ : inline_; }
+  BufferDescriptor* begin() { return data(); }
+  BufferDescriptor* end() { return data() + size_; }
+  const BufferDescriptor* begin() const { return data(); }
+  const BufferDescriptor* end() const { return data() + size_; }
+  BufferDescriptor& operator[](std::size_t i) { return data()[i]; }
+  const BufferDescriptor& operator[](std::size_t i) const {
+    return data()[i];
+  }
+
+  void push_back(const BufferDescriptor& b) {
+    if (size_ == capacity_) grow(2 * capacity_);
+    data()[size_++] = b;
+  }
+  void clear() { size_ = 0; }
+
+ private:
+  bool on_heap() const { return capacity_ > kInline; }
+  void grow(std::uint32_t capacity);
+  void assign(const SgList& other);
+  void steal(SgList& other) noexcept;
+  void release() noexcept;
+
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = kInline;  // > kInline: the items are on heap_
+  union {
+    BufferDescriptor inline_[kInline];
+    BufferDescriptor* heap_;
+  };
+};
 
 /// Total byte count of a scatter/gather list.
 std::size_t sg_length(const SgList& sg);
@@ -62,6 +122,8 @@ class HostMemory {
   /// Gathers a scatter list back into a contiguous buffer (RX
   /// convenience); `bytes` may be less than the list's capacity.
   aal::Bytes gather(const SgList& sg, std::size_t bytes) const;
+  /// Gathers the first out.size() bytes of a scatter list into `out`.
+  void gather(const SgList& sg, std::span<std::uint8_t> out) const;
 
  private:
   std::size_t page_index(std::uint64_t addr) const;

@@ -102,15 +102,19 @@ void Bus::serve_next() {
   const sim::Time t = burst_time(words, p.dir);
   busy_accum_ += t;
   if (p.words_left == 0) {
-    Done done = std::move(p.done);
-    sim_.after(t, [this, done = std::move(done)] {
-      done();
-      serve_next();
-    }, sim::Layer::kBus);
+    finishing_ = std::move(p.done);
   } else {
     queue_.push_back(std::move(p));
-    sim_.after(t, [this] { serve_next(); }, sim::Layer::kBus);
   }
+  sim_.after(t, [this] { burst_done(); }, sim::Layer::kBus);
+}
+
+void Bus::burst_done() {
+  if (finishing_) {
+    Done done = std::move(finishing_);
+    done();
+  }
+  serve_next();
 }
 
 double Bus::utilization(sim::Time now) const {

@@ -16,10 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/telemetry/metrics.hpp"
@@ -52,7 +51,7 @@ enum class Direction : std::uint8_t {
 /// transfer's final burst.
 class Bus {
  public:
-  using Done = std::function<void()>;
+  using Done = sim::Action;
 
   Bus(sim::Simulator& sim, BusConfig config);
 
@@ -115,11 +114,17 @@ class Bus {
   void submit(std::size_t bytes, Direction dir,
               std::size_t words_per_burst, Done done);
   void serve_next();
+  /// The burst in flight ended: completes its transfer if that was the
+  /// final burst, then grants the next.
+  void burst_done();
 
   sim::Simulator& sim_;
   BusConfig config_;
-  std::deque<Pending> queue_;
+  sim::Ring<Pending> queue_;
   bool serving_ = false;
+  // Completion of the transfer whose final burst is in flight (the bus
+  // serves one burst at a time, so one slot suffices).
+  Done finishing_;
   sim::Time held_until_ = 0;
   sim::Counter holdoffs_;
   sim::Time busy_accum_ = 0;  // total time spent transferring

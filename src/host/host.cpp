@@ -57,8 +57,14 @@ bool Host::send(atm::VcId vc, aal::AalType aal, aal::Bytes sdu) {
   d.aal = aal;
   d.cookie = sent_.value();
 
-  cpu_.execute(config_.costs.tx_syscall, [this, d = std::move(d)]() mutable {
-    if (!nic_.tx().post(d)) backlog_.push_back(std::move(d));
+  posting_.push_back(std::move(d));
+  cpu_.execute(config_.costs.tx_syscall, [this] {
+    nic::TxDescriptor next = posting_.take_front();
+    if (nic_.tx().ring_full()) {
+      backlog_.push_back(std::move(next));
+    } else {
+      nic_.tx().post(std::move(next));
+    }
   });
   return true;
 }
@@ -73,8 +79,8 @@ void Host::on_tx_complete(const nic::TxDescriptor& d) {
 }
 
 void Host::drain_backlog() {
-  while (!backlog_.empty() && nic_.tx().post(backlog_.front())) {
-    backlog_.pop_front();
+  while (!backlog_.empty() && !nic_.tx().ring_full()) {
+    nic_.tx().post(backlog_.take_front());
   }
 }
 
@@ -85,7 +91,9 @@ void Host::on_rx(nic::RxDelivery d) {
     instr += config_.costs.interrupt_entry;
     interrupts_.add();
   }
-  cpu_.execute(instr, [this, d = std::move(d)] {
+  landed_.push_back(std::move(d));
+  cpu_.execute(instr, [this] {
+    const nic::RxDelivery d = landed_.take_front();
     aal::Bytes sdu = memory_.gather(d.sg, d.len);
     memory_.free(d.sg);
     rx_pages_available_ += d.sg.size();  // replenish the posted budget

@@ -11,13 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "bus/host_memory.hpp"
 #include "nic/nic.hpp"
 #include "proc/engine.hpp"
+#include "sim/ring.hpp"
 
 namespace hni::host {
 
@@ -109,8 +109,13 @@ class Host {
   ReadyFn tx_ready_;
   std::size_t inflight_ = 0;
   std::size_t rx_pages_available_ = 0;
+  // Work waiting on the CPU, in the order its CPU time was queued (the
+  // CPU completes work in FIFO order, so each completion takes the
+  // front): descriptors being posted, deliveries being handed up.
+  sim::Ring<nic::TxDescriptor> posting_;
+  sim::Ring<nic::RxDelivery> landed_;
   // Descriptors accepted by the host but refused by a full NIC ring.
-  std::deque<nic::TxDescriptor> backlog_;
+  sim::Ring<nic::TxDescriptor> backlog_;
   // Last-reported TX rate factor per VC (congestion visibility).
   std::unordered_map<atm::VcId, double> rate_factors_;
 

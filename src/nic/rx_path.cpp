@@ -46,13 +46,13 @@ RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
   }
   interrupts_.set_handler([this](std::size_t batch) {
     // One interrupt covers `batch` PDU completions; hand them all up.
-    std::vector<RxDelivery> ready = std::move(pending_deliveries_);
-    pending_deliveries_.clear();
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      ready[i].interrupt_batch = batch;
-      ready[i].first_of_batch = (i == 0);
-      if (deliver_) deliver_(std::move(ready[i]));
+    handing_up_.swap(pending_deliveries_);
+    for (std::size_t i = 0; i < handing_up_.size(); ++i) {
+      handing_up_[i].interrupt_batch = batch;
+      handing_up_[i].first_of_batch = (i == 0);
+      if (deliver_) deliver_(std::move(handing_up_[i]));
     }
+    handing_up_.clear();
   });
 }
 
@@ -60,7 +60,7 @@ void RxPath::open_vc(atm::VcId vc, aal::AalType aal) {
   VcState state;
   state.aal = aal;
   state.reasm = std::make_unique<aal::FrameReassembler>(
-      aal, aal::FrameReassembler::Config(config_.max_sdu));
+      aal, aal::FrameReassembler::Config(config_.max_sdu), &buffers_);
   vcs_.insert(vc, std::move(state));
 }
 
@@ -317,42 +317,52 @@ void RxPath::complete_pdu(atm::VcId vc, aal::FrameDelivery d) {
     std::optional<bus::SgList> sg = alloc_(d.sdu.size());
     if (!sg) {
       host_buffer_drop_.add();
+      buffers_.give(std::move(d.sdu));
       engine_busy_ = false;
       service();
       return;
     }
-    const std::size_t len = d.sdu.size();
-    const sim::Time first = d.first_cell_time;
-    bus::SgList host_sg = *std::move(sg);
+    Landing* l = landings_.acquire();
+    l->vc = vc;
+    l->sdu = std::move(d.sdu);
+    l->sg = *std::move(sg);
+    l->first_cell_time = d.first_cell_time;
     // Engine moves on; DMA completes in the background.
     engine_busy_ = false;
     service();
-    const sim::Time issued = sim_.now();
-    dma_.write(host_sg, 0, std::move(d.sdu),
-               [this, vc, host_sg, len, first, issued] {
-                 profiler_.add(ph_dma_wait_, sim_.now() - issued);
-                 RxDelivery out;
-                 out.vc = vc;
-                 out.sg = host_sg;
-                 out.len = len;
-                 out.first_cell_time = first;
-                 out.delivered_time = sim_.now();
-                 latency_us_.add(
-                     sim::to_microseconds(out.delivered_time - first));
-                 pdus_ok_.add();
-                 // The VC may have closed while the DMA was in flight;
-                 // its per-VC books went with it.
-                 if (VcState* vs = vcs_.find(vc).state) vs->m_pdus.add();
-                 pending_deliveries_.push_back(std::move(out));
-                 interrupts_.post();
-               },
-               [this, host_sg] {
-                 // Landing DMA gave up: the reassembled PDU is lost and
-                 // the host buffers go back where they came from.
-                 dma_drop_.add();
-                 if (release_) release_(host_sg);
-               });
+    l->issued = sim_.now();
+    dma_.write(l->sg, 0, l->sdu, [this, l] { landed(l); },
+               [this, l] { landing_failed(l); });
   });
+}
+
+void RxPath::landed(Landing* l) {
+  profiler_.add(ph_dma_wait_, sim_.now() - l->issued);
+  RxDelivery out;
+  out.vc = l->vc;
+  out.sg = std::move(l->sg);
+  out.len = l->sdu.size();
+  out.first_cell_time = l->first_cell_time;
+  out.delivered_time = sim_.now();
+  buffers_.give(std::move(l->sdu));
+  landings_.release(l);
+  latency_us_.add(
+      sim::to_microseconds(out.delivered_time - out.first_cell_time));
+  pdus_ok_.add();
+  // The VC may have closed while the DMA was in flight; its per-VC
+  // books went with it.
+  if (VcState* vs = vcs_.find(out.vc).state) vs->m_pdus.add();
+  pending_deliveries_.push_back(std::move(out));
+  interrupts_.post();
+}
+
+void RxPath::landing_failed(Landing* l) {
+  // Landing DMA gave up: the reassembled PDU is lost and the host
+  // buffers go back where they came from.
+  dma_drop_.add();
+  if (release_) release_(l->sg);
+  buffers_.give(std::move(l->sdu));
+  landings_.release(l);
 }
 
 }  // namespace hni::nic

@@ -20,6 +20,13 @@
 // probe counts come from the real VC table so lookup cost scales with
 // active VCs (bench F5). Completed PDUs cross the bus once and the host
 // is interrupted per PDU or less.
+//
+// Reassembly buffers come from one per-path pool: a PDU takes a buffer
+// on its first cell, and the buffer goes back when the PDU's landing
+// DMA lands or fails, or when the PDU errors, times out or is aborted
+// by an engine reset. Buffers grow to the largest PDU seen, never to
+// max_sdu, and a warm path reassembles and lands PDUs without the
+// allocator.
 
 #pragma once
 
@@ -40,6 +47,7 @@
 #include "nic/watchdog.hpp"
 #include "proc/engine.hpp"
 #include "proc/firmware.hpp"
+#include "sim/pool.hpp"
 
 namespace hni::nic {
 
@@ -171,6 +179,8 @@ class RxPath {
   const proc::Engine& engine() const { return engine_; }
   const atm::CellFifo<atm::Cell>& fifo() const { return fifo_; }
   const BoardMemory& board() const { return board_; }
+  /// The reassembly buffer pool.
+  const aal::BufferPool& buffers() const { return buffers_; }
   /// Mutable board pool (fault hooks: set_capacity_limit).
   BoardMemory& board_memory() { return board_; }
 
@@ -234,10 +244,22 @@ class RxPath {
     sim::Counter m_efci;
   };
 
+  /// A completed PDU crossing the bus into host buffers: its
+  /// reassembly buffer is the DMA's source until the write lands.
+  struct Landing {
+    atm::VcId vc;
+    aal::Bytes sdu;
+    bus::SgList sg;
+    sim::Time first_cell_time = 0;
+    sim::Time issued = 0;
+  };
+
   void service();
   void sweep_stale_pdus();
   void process_cell(atm::Cell cell, VcState& state);
   void complete_pdu(atm::VcId vc, aal::FrameDelivery d);
+  void landed(Landing* landing);
+  void landing_failed(Landing* landing);
   static bool is_first_cell(const atm::Cell& cell, const VcState& state);
   static std::uint64_t chain_key(atm::VcId vc) {
     return (static_cast<std::uint64_t>(vc.vpi) << 16) | vc.vci;
@@ -296,9 +318,14 @@ class RxPath {
   std::array<sim::Counter, 7> error_counts_;
   sim::RunningStat latency_us_;
 
+  aal::BufferPool buffers_;
+  sim::Pool<Landing> landings_;
+
   // Deliveries completed but not yet covered by an interrupt; flushed
-  // to the host when the controller fires.
+  // to the host when the controller fires. The two vectors trade
+  // places per interrupt, so both keep their capacity.
   std::vector<RxDelivery> pending_deliveries_;
+  std::vector<RxDelivery> handing_up_;
 };
 
 }  // namespace hni::nic

@@ -25,6 +25,7 @@ TxPath::TxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
   ph_stall_ = profiler_.phase("TX FIFO stall");
   ph_complete_ = profiler_.phase("PDU completion");
   engine_.set_profiler(&profiler_);
+  ring_.reserve(config_.ring_entries);
   if (config_.clock_ppm) framer_.set_clock_ppm(*config_.clock_ppm);
   framer_.bind(fifo_);
   if (config_.watchdog_interval > 0) {
@@ -51,24 +52,39 @@ TxPath::VcState& TxPath::state_for(atm::VcId vc) {
   return *state;
 }
 
-void TxPath::push_staged(VcState& vs, StagedPdu staged) {
-  if (vs.queue.empty()) {
+void TxPath::push_staged(VcState& vs, StagedPdu* slot) {
+  slot->link = nullptr;
+  if (vs.head == nullptr) {
     vs.ready_slot = static_cast<std::uint32_t>(ready_.size());
     ready_.push_back(&vs);
+    vs.head = slot;
+  } else {
+    vs.tail->link = slot;
   }
-  vs.queue.push_back(std::move(staged));
+  vs.tail = slot;
+  ++vs.queued;
   ++staged_count_;
 }
 
-void TxPath::pop_staged(VcState& vs) {
-  vs.queue.pop_front();
+TxPath::StagedPdu* TxPath::pop_staged(VcState& vs) {
+  StagedPdu* slot = vs.head;
+  vs.head = slot->link;
+  if (vs.head == nullptr) vs.tail = nullptr;
+  --vs.queued;
   --staged_count_;
-  if (!vs.queue.empty()) return;
+  if (vs.head != nullptr) return slot;
   // Swap-remove: ready_ has no order to keep.
   VcState* last = ready_.back();
   ready_[vs.ready_slot] = last;
   last->ready_slot = vs.ready_slot;
   ready_.pop_back();
+  return slot;
+}
+
+void TxPath::complete(StagedPdu* slot) {
+  const TxDescriptor done = std::move(slot->descriptor);
+  slots_.release(slot);
+  if (completion_) completion_(done);
 }
 
 void TxPath::register_metrics(const sim::MetricScope& scope) {
@@ -144,10 +160,8 @@ bool TxPath::has_runnable_work() const {
   if (staging_inflight_ == 0 && staged_count_ < config_.staged_pdus) {
     for (const auto& d : ring_) {
       const VcState* vs = vcs_.find(atm::vc_label(d.vc)).value;
-      const bool paused = vs != nullptr && vs->paused;
-      const std::size_t queued = vs != nullptr ? vs->queue.size() : 0;
-      if (!paused && staging_vcs_.count(d.vc) == 0 &&
-          queued < config_.staged_per_vc) {
+      if (vs == nullptr) return true;
+      if (!vs->paused && !vs->staging && vs->queued < config_.staged_per_vc) {
         return true;
       }
     }
@@ -223,74 +237,72 @@ void TxPath::maybe_stage_next() {
   // and no standing pause (a paused VC must not pin staging slots).
   auto it = std::find_if(ring_.begin(), ring_.end(),
                          [this](const TxDescriptor& d) {
-                           VcState& vs = state_for(d.vc);
-                           return staging_vcs_.count(d.vc) == 0 &&
-                                  !vs.paused &&
-                                  vs.queue.size() < config_.staged_per_vc;
+                           const VcState& vs = state_for(d.vc);
+                           return !vs.staging && !vs.paused &&
+                                  vs.queued < config_.staged_per_vc;
                          });
   if (it == ring_.end()) return;
   ++staging_inflight_;
-  staging_vcs_.insert(it->vc);
-  TxDescriptor d = std::move(*it);
+  StagedPdu* slot = slots_.acquire();
+  slot->descriptor = std::move(*it);
   ring_.erase(it);
+  slot->vs = &state_for(slot->descriptor.vc);
+  slot->vs->staging = true;
   // Per-PDU front work: descriptor fetch + DMA programming.
   const std::uint32_t instr =
       firmware_.tx.fetch_descriptor + firmware_.tx.program_dma;
-  engine_.execute(ph_fetch_, instr, [this, d = std::move(d)]() mutable {
-    stage_pdu(std::move(d));
-  });
+  engine_.execute(ph_fetch_, instr, [this, slot] { stage_pdu(slot); });
 }
 
-void TxPath::stage_pdu(TxDescriptor d) {
-  auto finish_staging = [this](TxDescriptor desc, aal::Bytes sdu) {
-    engine_.execute(ph_trailer_, firmware_.tx.build_trailer,
-                    [this, desc = std::move(desc),
-                     sdu = std::move(sdu)]() mutable {
-                      aal::FrameSegmenter seg(desc.aal, desc.vc);
-                      StagedPdu staged;
-                      staged.cells = seg.segment(sdu, desc.clp);
-                      const atm::VcId vc = desc.vc;
-                      staged.descriptor = std::move(desc);
-                      push_staged(state_for(vc), std::move(staged));
-                      --staging_inflight_;
-                      staging_vcs_.erase(vc);
-                      schedule_emission();
-                      maybe_stage_next();
-                    });
-  };
-
-  if (config_.dma_mode == TxDmaMode::kWholePdu) {
-    // Stage the whole SDU across the bus, then build the CPCS framing.
-    // (Descriptor shared between the two outcomes; only one ever runs.)
-    auto dsh = std::make_shared<TxDescriptor>(std::move(d));
-    const bus::SgList sg = dsh->sg;
-    const std::size_t len = dsh->len;
-    const sim::Time issued = sim_.now();
-    dma_.read(sg, 0, len,
-              [this, issued, dsh, finish_staging](aal::Bytes sdu) mutable {
-                // Bus time the staging transfer took; overlapped with
-                // emission of already-staged PDUs, so this is exposure,
-                // not serial engine time.
-                profiler_.add(ph_dma_wait_, sim_.now() - issued);
-                finish_staging(std::move(*dsh), std::move(sdu));
-              },
-              [this, dsh] {
-                // Staging DMA gave up after retries: abandon the PDU
-                // and free its slot; completion still fires so the
-                // driver reclaims the host buffers.
-                --staging_inflight_;
-                staging_vcs_.erase(dsh->vc);
-                aborted_.add();
-                if (completion_) completion_(*dsh);
-                maybe_stage_next();
-              });
-  } else {
+void TxPath::stage_pdu(StagedPdu* slot) {
+  const TxDescriptor& d = slot->descriptor;
+  if (slot->bytes.size() < d.len) slot->bytes.resize(d.len);
+  const std::span<std::uint8_t> sdu(slot->bytes.data(), d.len);
+  if (config_.dma_mode == TxDmaMode::kPerCell) {
     // Cut-through: segmentation is functional up front (the bytes are
     // already in host memory); the bus is charged one 48-octet transfer
     // per cell as emission walks the PDU.
-    aal::Bytes sdu = memory_.gather(d.sg, d.len);
-    finish_staging(std::move(d), std::move(sdu));
+    memory_.gather(d.sg, sdu);
+    finish_staging(slot);
+    return;
   }
+  // Stage the whole SDU across the bus into the slot, then build the
+  // CPCS framing.
+  const sim::Time issued = sim_.now();
+  dma_.read(d.sg, 0, sdu,
+            [this, slot, issued] {
+              // Bus time the staging transfer took; overlapped with
+              // emission of already-staged PDUs, so this is exposure,
+              // not serial engine time.
+              profiler_.add(ph_dma_wait_, sim_.now() - issued);
+              finish_staging(slot);
+            },
+            [this, slot] {
+              // Staging DMA gave up after retries: abandon the PDU and
+              // free its slot; completion still fires so the driver
+              // reclaims the host buffers.
+              --staging_inflight_;
+              slot->vs->staging = false;
+              aborted_.add();
+              complete(slot);
+              maybe_stage_next();
+            });
+}
+
+void TxPath::finish_staging(StagedPdu* slot) {
+  engine_.execute(ph_trailer_, firmware_.tx.build_trailer, [this, slot] {
+    const TxDescriptor& d = slot->descriptor;
+    aal::FrameSegmenter seg(d.aal, d.vc);
+    seg.segment(std::span<const std::uint8_t>(slot->bytes.data(), d.len),
+                d.clp, slot->cells);
+    slot->next = 0;
+    VcState& vs = *slot->vs;
+    push_staged(vs, slot);
+    --staging_inflight_;
+    vs.staging = false;
+    schedule_emission();
+    maybe_stage_next();
+  });
 }
 
 // Round-robin, shaping-aware emission: one cell per grant, rotating
@@ -373,7 +385,7 @@ void TxPath::schedule_emission() {
 void TxPath::emit_one(atm::VcId vc) {
   emit_busy_ = true;
   VcState& vs = vc_state(vc);
-  StagedPdu& pdu = vs.queue.front();
+  StagedPdu& pdu = *vs.head;
   const TxDescriptor& d = pdu.descriptor;
   const std::size_t next = pdu.next;
   const proc::CellPosition pos{next == 0, next + 1 == pdu.cells.size()};
@@ -396,7 +408,7 @@ void TxPath::emit_one(atm::VcId vc) {
 
   auto push_cell = [this, vc]() mutable {
     VcState& vs = vc_state(vc);
-    StagedPdu& pdu = vs.queue.front();
+    StagedPdu& pdu = *vs.head;
     atm::Cell cell = pdu.cells[pdu.next];
     cell.meta.created = sim_.now();
     cell.meta.seq = next_seq_++;
@@ -410,14 +422,14 @@ void TxPath::emit_one(atm::VcId vc) {
       schedule_emission();
       return;
     }
-    // Last cell handed over: per-PDU completion work.
-    TxDescriptor done = std::move(pdu.descriptor);
-    pop_staged(vs);
+    // Last cell handed over: per-PDU completion work. The slot leaves
+    // the VC's queue now and returns to the pool when that work ends.
+    StagedPdu* done = pop_staged(vs);
     engine_.execute(ph_complete_, firmware_.tx.complete_pdu,
-                    [this, &vs, done = std::move(done)] {
+                    [this, &vs, done] {
                       pdus_.add();
                       vs.m_pdus.add();
-                      if (completion_) completion_(done);
+                      complete(done);
                       emit_busy_ = false;
                       schedule_emission();
                       maybe_stage_next();
@@ -426,24 +438,21 @@ void TxPath::emit_one(atm::VcId vc) {
   };
 
   if (per_cell_dma) {
-    // The payload window crosses the bus as its own transfer; cells
-    // past the SDU (pad/trailer cells) cost no bus time.
-    const bus::SgList sg = d.sg;
+    // The payload window crosses the bus as its own transfer, into the
+    // slot's board copy of the SDU; cells past the SDU (pad/trailer
+    // cells) cost no bus time.
     const sim::Time issued = sim_.now();
-    dma_.read(sg, off, dma_len,
-              [this, instr, issued,
-               push_cell = std::move(push_cell)](aal::Bytes) mutable {
+    dma_.read(d.sg, off,
+              std::span<std::uint8_t>(pdu.bytes.data() + off, dma_len),
+              [this, instr, issued, push_cell = std::move(push_cell)] {
                 profiler_.add(ph_dma_wait_, sim_.now() - issued);
-                engine_.execute(instr, std::move(push_cell));
+                engine_.execute(instr, push_cell);
               },
               [this, vc] {
                 // Mid-PDU DMA gave up: the rest of this PDU can never
                 // be cut — abandon it and move the scheduler along.
-                VcState& vs = vc_state(vc);
-                TxDescriptor done = std::move(vs.queue.front().descriptor);
-                pop_staged(vs);
                 aborted_.add();
-                if (completion_) completion_(done);
+                complete(pop_staged(vc_state(vc)));
                 emit_busy_ = false;
                 schedule_emission();
                 maybe_stage_next();

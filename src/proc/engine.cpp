@@ -34,11 +34,29 @@ void Engine::execute(sim::CycleProfiler::PhaseId phase,
 
 void Engine::occupy(sim::Time duration, Done done) {
   const sim::Time now = sim_.now();
+  const bool idle = free_at_ <= now && queue_.empty();
   const sim::Time start = std::max(now, free_at_);
   free_at_ = start + duration;
   busy_accum_ += duration;
   items_.add();
-  sim_.at(free_at_, std::move(done), layer_);
+  if (idle) {
+    sim_.at(free_at_, std::move(done), layer_);
+    return;
+  }
+  queue_.push_back(Queued{free_at_, sim_.reserve_seq(), std::move(done)});
+  if (queue_.size() == 1) arm_front();
+}
+
+void Engine::arm_front() {
+  const Queued& q = queue_.front();
+  sim_.at_reserved(q.when, q.seq, [this] { fire_front(); }, layer_);
+}
+
+void Engine::fire_front() {
+  Done done = std::move(queue_.front().done);
+  queue_.pop_front();
+  if (!queue_.empty()) arm_front();
+  done();
 }
 
 double Engine::utilization(sim::Time now) const {

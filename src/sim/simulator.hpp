@@ -116,14 +116,32 @@ class Simulator {
   EventHandle at(Time when, F&& f, Layer layer = Layer::kTimer) {
     detail::EventSlot* s = prepare(when);
     s->action.emplace(std::forward<F>(f));
-    return commit(when, s, layer);
+    return commit(when, next_seq_++, s, layer);
   }
 
   /// Schedules an already-wrapped Action.
   EventHandle at(Time when, Action action, Layer layer = Layer::kTimer) {
     detail::EventSlot* s = prepare(when);
     s->action = std::move(action);
-    return commit(when, s, layer);
+    return commit(when, next_seq_++, s, layer);
+  }
+
+  /// Takes the next insertion sequence number without scheduling
+  /// anything. An event later armed with at_reserved() under this
+  /// number orders among same-instant events exactly as if at() had
+  /// scheduled it at the moment of the reservation: after everything
+  /// scheduled before, ahead of everything scheduled since.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules a callable under a sequence number from reserve_seq().
+  /// Each reserved number must be armed at most once, and before the
+  /// kernel has fired any event that orders after (when, seq).
+  template <typename F>
+  EventHandle at_reserved(Time when, std::uint64_t seq, F&& f,
+                          Layer layer = Layer::kTimer) {
+    detail::EventSlot* s = prepare(when);
+    s->action.emplace(std::forward<F>(f));
+    return commit(when, seq, s, layer);
   }
 
   /// Schedules `delay` after the current time.
@@ -190,10 +208,11 @@ class Simulator {
     }
     return acquire_slot();
   }
-  EventHandle commit(Time when, detail::EventSlot* s, Layer layer) {
+  EventHandle commit(Time when, std::uint64_t seq, detail::EventSlot* s,
+                     Layer layer) {
     s->layer = static_cast<std::uint8_t>(layer);
     const std::uint32_t gen = s->gen;
-    heap_push(Node{when, next_seq_++, s, gen});
+    heap_push(Node{when, seq, s, gen});
     return EventHandle{s, gen};
   }
 

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "proc/engine.hpp"
 #include "proc/firmware.hpp"
+#include "sim/random.hpp"
 
 namespace hni::proc {
 namespace {
@@ -70,6 +76,74 @@ TEST(Engine, OccupyChargesLiteralTime) {
   e.occupy(sim::microseconds(7), [&] { done = sim.now(); });
   sim.run();
   EXPECT_EQ(done, sim::microseconds(7));
+}
+
+// The engine keeps queued work in its own ring and arms only the front
+// item. The reference below is the plain model it replaces: one kernel
+// event per work item, scheduled when the work is queued.
+struct OneEventPerItem {
+  explicit OneEventPerItem(sim::Simulator& s) : sim(s) {}
+  void occupy(sim::Time duration, sim::Action done) {
+    free_at = std::max(sim.now(), free_at) + duration;
+    sim.at(free_at, std::move(done));
+  }
+  sim::Simulator& sim;
+  sim::Time free_at = 0;
+};
+
+struct RingEngine {
+  explicit RingEngine(sim::Simulator& s) : engine(s, cfg()) {}
+  void occupy(sim::Time duration, sim::Action done) {
+    engine.occupy(duration, std::move(done));
+  }
+  Engine engine;
+};
+
+// One seeded trial: work arriving at random instants (and from inside
+// completions), random durations including zero, and foreign events
+// landing on the same instants. Returns every firing as (id, time).
+template <typename E>
+std::vector<std::pair<int, sim::Time>> firing_sequence(std::uint64_t seed,
+                                                       std::uint64_t* fired) {
+  sim::Simulator sim;
+  sim::Rng rng(seed);
+  E engine(sim);
+  std::vector<std::pair<int, sim::Time>> log;
+  int next_id = 0;
+  auto foreign = [&](sim::Time at) {
+    const int id = next_id++;
+    sim.at(at, [&log, &sim, id] { log.emplace_back(id, sim.now()); });
+  };
+  std::function<void(int)> work = [&](int depth) {
+    const int id = next_id++;
+    engine.occupy(static_cast<sim::Time>(rng.uniform_int(0, 4)),
+                  [&, id, depth] {
+                    log.emplace_back(id, sim.now());
+                    if (depth < 3 && rng.chance(0.5)) work(depth + 1);
+                    if (rng.chance(0.3)) {
+                      foreign(sim.now() + static_cast<sim::Time>(
+                                              rng.uniform_int(0, 3)));
+                    }
+                  });
+  };
+  for (int i = 0; i < 40; ++i) {
+    sim.at(static_cast<sim::Time>(rng.uniform_int(0, 30)), [&] { work(0); });
+    foreign(static_cast<sim::Time>(rng.uniform_int(0, 40)));
+  }
+  sim.run();
+  *fired = sim.events_fired();
+  return log;
+}
+
+TEST(Engine, QueuedWorkFiresLikeOneEventPerItem) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::uint64_t fired_ref = 0;
+    std::uint64_t fired_ring = 0;
+    const auto ref = firing_sequence<OneEventPerItem>(seed, &fired_ref);
+    const auto ring = firing_sequence<RingEngine>(seed, &fired_ring);
+    ASSERT_EQ(ring, ref) << "seed " << seed;
+    ASSERT_EQ(fired_ring, fired_ref) << "seed " << seed;
+  }
 }
 
 // --- firmware table structure ----------------------------------------

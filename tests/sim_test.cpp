@@ -71,6 +71,25 @@ TEST(Simulator, SimultaneousEventsFifo) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(Simulator, ReservedSeqOrdersAsIfScheduledAtReservation) {
+  Simulator sim;
+  std::vector<int> order;
+  auto log = [&order](int tag) { return [&order, tag] { order.push_back(tag); }; };
+  sim.at(10, log(1));  // scheduled before the reservation
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.at(10, log(3));  // after the reservation, before the arming
+  sim.at(5, [&] {
+    sim.at(10, log(4));  // also before the arming
+    sim.at_reserved(10, seq, log(2));
+    sim.at(10, log(5));  // after the arming
+  });
+  sim.run();
+  // The reserved event takes its place at the reservation, not at the
+  // arming: ahead of every same-instant event scheduled in between.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.events_fired(), 6u);
+}
+
 TEST(Simulator, AfterIsRelative) {
   Simulator sim;
   Time seen = -1;
