@@ -232,6 +232,7 @@ Aal34Reassembler::Delivery Aal34Reassembler::complete(std::uint16_t mid,
     ++pdus_errored_;
     return d;
   }
+  if (pool_ != nullptr) d.sdu = pool_->take();
   d.sdu.assign(pdu.begin() + kCpcsHeader,
                pdu.begin() + static_cast<std::ptrdiff_t>(kCpcsHeader + length));
   d.error = ReassemblyError::kNone;

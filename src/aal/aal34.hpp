@@ -101,7 +101,11 @@ class Aal34Reassembler {
     sim::Time first_cell_time = 0;
   };
 
-  explicit Aal34Reassembler(Config config = Config()) : config_(config) {}
+  /// With a `pool`, a delivered SDU is copied out into a buffer taken
+  /// from it, for the caller to give back.
+  explicit Aal34Reassembler(Config config = Config(),
+                            BufferPool* pool = nullptr)
+      : config_(config), pool_(pool) {}
 
   /// Consumes one cell; may complete (or fail) one CPCS-PDU.
   std::optional<Delivery> push(const atm::Cell& cell);
@@ -130,6 +134,7 @@ class Aal34Reassembler {
   Delivery fail(std::uint16_t mid, Stream* stream, ReassemblyError error);
 
   Config config_;
+  BufferPool* pool_;
   std::unordered_map<std::uint16_t, Stream> streams_;
   std::uint64_t pdus_ok_ = 0;
   std::uint64_t pdus_errored_ = 0;
