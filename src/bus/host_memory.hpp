@@ -91,14 +91,33 @@ class SgList {
 std::size_t sg_length(const SgList& sg);
 
 /// Byte-addressable host memory with a fixed-size page allocator.
+///
+/// The store is an anonymous mapping: the OS zero-fills each page on
+/// its first touch, so a never-written byte reads 0 and a station pays
+/// (in time and resident memory) only for the pages it uses. pin()
+/// faults a prefix of pages in ahead of time, the way a driver pins the
+/// buffers it will post, so their first use costs no page fault.
 class HostMemory {
  public:
   /// `bytes` of storage carved into pages of `page_bytes`.
   HostMemory(std::size_t bytes, std::size_t page_bytes = 4096);
+  ~HostMemory();
+  HostMemory(const HostMemory&) = delete;
+  HostMemory& operator=(const HostMemory&) = delete;
 
   std::size_t page_bytes() const { return page_bytes_; }
   std::size_t pages_total() const { return free_.size() + used_; }
   std::size_t pages_free() const { return free_.size(); }
+  /// High-water mark of pages outstanding at once. The free list hands
+  /// out the lowest pages first and takes freed pages back on top, so
+  /// the pages ever handed out are exactly the lowest pages_touched().
+  std::size_t pages_touched() const { return peak_; }
+  /// Pages of the store the OS holds resident right now (mincore).
+  std::size_t pages_resident() const;
+
+  /// Faults in the lowest `pages` pages (clamped to the store) without
+  /// changing their contents.
+  void pin(std::size_t pages);
 
   /// Allocates one page; throws std::bad_alloc when exhausted.
   BufferDescriptor alloc_page();
@@ -128,10 +147,12 @@ class HostMemory {
  private:
   std::size_t page_index(std::uint64_t addr) const;
 
-  std::vector<std::uint8_t> store_;
+  std::uint8_t* store_ = nullptr;  // anonymous mapping of bytes_
+  std::size_t bytes_;
   std::size_t page_bytes_;
   std::vector<std::uint64_t> free_;  // free page base addresses (LIFO)
   std::size_t used_ = 0;
+  std::size_t peak_ = 0;
 };
 
 }  // namespace hni::bus

@@ -23,6 +23,11 @@ Host::Host(sim::Simulator& sim, bus::HostMemory& memory, nic::Nic& nic,
   // Post the receive-buffer budget: the NIC draws landing pages from it
   // and a delivery returns them once the host has consumed the SDU.
   rx_pages_available_ = config_.rx_posted_pages;
+  // Pin what the driver can hold at once: the posted receive budget
+  // plus one staging page per send-window slot. The page allocator
+  // hands out the lowest pages first, so while the outstanding pages
+  // stay within this prefix no page is first touched mid-run.
+  memory_.pin(config_.rx_posted_pages + config_.max_inflight_tx);
   nic_.rx().set_buffer_allocator(
       [this](std::size_t bytes) -> std::optional<bus::SgList> {
         const std::size_t pages =

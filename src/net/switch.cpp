@@ -104,8 +104,7 @@ bool Switch::remove_route(std::size_t in_port, atm::VcId vc) {
           dropped_.add();
           purged_close_.add();
         }
-        out.order.erase(std::remove(out.order.begin(), out.order.end(), vq),
-                        out.order.end());
+        out.order.erase_if([vq](const VcQueue* q) { return q == vq; });
       }
       out.queues.erase(out_label);
     }
@@ -453,13 +452,10 @@ void Switch::serve(std::size_t out_port) {
   out.serving = true;
   WireCell cell;
   if (config_.scheduler == SwitchScheduler::kFifo) {
-    cell = std::move(out.fifo.front());
-    out.fifo.pop_front();
+    cell = out.fifo.take_front();
   } else if (config_.scheduler == SwitchScheduler::kRoundRobin) {
-    VcQueue* vq = out.order.front();
-    out.order.pop_front();
-    cell = std::move(vq->cells.front());
-    vq->cells.pop_front();
+    VcQueue* vq = out.order.take_front();
+    cell = vq->cells.take_front();
     if (!vq->cells.empty()) {
       out.order.push_back(vq);  // still active: back of the ring
     }
@@ -469,8 +465,7 @@ void Switch::serve(std::size_t out_port) {
     // out of cells; weights therefore set the per-round service ratio.
     VcQueue* vq = out.order.front();
     if (vq->deficit == 0) vq->deficit = std::max<std::uint32_t>(vq->weight, 1);
-    cell = std::move(vq->cells.front());
-    vq->cells.pop_front();
+    cell = vq->cells.take_front();
     --vq->deficit;
     if (vq->cells.empty()) {
       out.order.pop_front();  // drained: leave the ring, forfeit grant

@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <functional>
 #include <string>
@@ -52,6 +51,7 @@
 #include "net/link.hpp"
 #include "sim/flat_table.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
@@ -376,7 +376,7 @@ class Switch {
   };
   /// One (translated) VC's cells awaiting service on an output port.
   struct VcQueue {
-    std::deque<WireCell> cells;
+    sim::Ring<WireCell> cells;
     std::uint32_t weight = 1;   // refreshed from the route on enqueue
     std::uint32_t deficit = 0;  // DWRR: cells left in the current grant
   };
@@ -397,9 +397,9 @@ class Switch {
   };
   struct OutputPort {
     /// kFifo service structure: the historical shared FIFO, literally —
-    /// one deque of cells in arrival order, so the default scheduler
+    /// one ring of cells in arrival order, so the default scheduler
     /// pays nothing for the per-VC machinery it doesn't use.
-    std::deque<WireCell> fifo;
+    sim::Ring<WireCell> fifo;
     /// kRoundRobin/kDwrr: per-VC queues keyed on the *outgoing* VC
     /// label, all drawing on the shared `occupancy` pool bounded by
     /// queue_cells, plus the active ring (one entry per non-empty VC
@@ -409,7 +409,7 @@ class Switch {
     /// ticket and purges its resident cells, so no dangling pointer
     /// survives the erase.
     sim::FlatMap<std::uint32_t, VcQueue> queues;
-    std::deque<VcQueue*> order;
+    sim::Ring<VcQueue*> order;
     std::size_t occupancy = 0;
     Link* link = nullptr;
     bool serving = false;

@@ -327,8 +327,7 @@ void TxPath::schedule_emission() {
   // Control cells (OAM/RM) first: tiny, latency-sensitive, unshaped.
   if (!control_.empty()) {
     emit_busy_ = true;
-    atm::Cell cell = std::move(control_.front());
-    control_.pop_front();
+    atm::Cell cell = control_.take_front();
     engine_.execute(ph_header_, firmware_.tx.cell_overhead,
                     [this, cell = std::move(cell)]() mutable {
                       cell.meta.created = sim_.now();

@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -56,6 +55,7 @@
 #include "proc/firmware.hpp"
 #include "sim/flat_table.hpp"
 #include "sim/pool.hpp"
+#include "sim/ring.hpp"
 
 namespace hni::nic {
 
@@ -270,7 +270,7 @@ class TxPath {
   atm::TxFramer framer_;
   // Posted descriptors, oldest first (reserved to ring_entries).
   std::vector<TxDescriptor> ring_;
-  std::deque<atm::Cell> control_;  // OAM/RM cells awaiting emission
+  sim::Ring<atm::Cell> control_;  // OAM/RM cells awaiting emission
   sim::Pool<StagedPdu> slots_;
 
   // Per-VC emission state, keyed on the packed 32-bit VC label.

@@ -1,7 +1,10 @@
 // Host model tests: driver send window, CPU accounting, receive
-// hand-off; and the software-SAR baseline host end to end.
+// hand-off; pinned and touched host pages; and the software-SAR
+// baseline host end to end.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/testbed.hpp"
 #include "host/sw_sar.hpp"
@@ -97,6 +100,62 @@ TEST(Host, CpuChargedPerOperation) {
             costs.tx_syscall + costs.tx_completion);
   EXPECT_EQ(b.host().cpu().instructions_retired(),
             costs.interrupt_entry + costs.rx_per_pdu);
+}
+
+// --- host memory: what is pinned, what is touched ---------------------
+
+std::size_t pinned_budget(const HostConfig& c) {
+  return c.rx_posted_pages + c.max_inflight_tx;
+}
+
+TEST(Host, DefaultStationKeepsOnlyThePinnedBudgetResident) {
+  // The store is zero-filled on demand: a station holds resident only
+  // the pages its driver pins, not all 16 MiB of host memory.
+  sim::Simulator sim;
+  core::Station st(sim, core::StationConfig{});
+  const std::size_t budget = pinned_budget(st.config().host);
+  constexpr std::size_t kSlack = 16;
+  ASSERT_LT(budget + kSlack, st.memory().pages_total());
+  EXPECT_GE(st.memory().pages_resident(), budget);
+  EXPECT_LE(st.memory().pages_resident(), budget + kSlack);
+}
+
+TEST(Host, ManyVcOneCellTrafficStaysInsideThePinnedPages) {
+  // Shaped like the hostbench p2p-manyvc workload: 4096 VCs on each
+  // NIC, one-cell SDUs, a greedy sender rotating over the VCs.
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.line = atm::sts3c();
+  auto& a = bed.add_station(cfg);
+  auto& b = bed.add_station(cfg);
+  bed.connect(a, b);
+  constexpr std::size_t kVcs = 4096;
+  std::vector<atm::VcId> vcs;
+  for (std::size_t i = 0; i < kVcs; ++i) {
+    const atm::VcId vc{0, static_cast<std::uint16_t>(32 + i)};
+    a.nic().open_vc(vc, aal::AalType::kAal5);
+    b.nic().open_vc(vc, aal::AalType::kAal5);
+    vcs.push_back(vc);
+  }
+  std::uint64_t delivered = 0;
+  b.host().set_rx_handler([&](aal::Bytes, const RxInfo&) { ++delivered; });
+  std::size_t next = 0;
+  auto pump = [&] {
+    while (a.host().send(vcs[next % kVcs], aal::AalType::kAal5,
+                         aal::make_pattern(40, next))) {
+      ++next;
+    }
+  };
+  a.host().set_tx_ready(pump);
+  pump();
+  bed.run_for(sim::milliseconds(10));
+  EXPECT_GT(delivered, 500u);
+  // The receiver holds hundreds of landing pages at once: the posted
+  // budget, not the send window, is what the pinned prefix must cover.
+  EXPECT_GT(b.memory().pages_touched(), 100u);
+  for (core::Station* st : {&a, &b}) {
+    EXPECT_LE(st->memory().pages_touched(), pinned_budget(cfg.host));
+  }
 }
 
 // --- software-SAR baseline -------------------------------------------

@@ -7,9 +7,10 @@
 // does checking a delivered SDU's test pattern. Same operator-new
 // counting hook as telemetry_test — the binary is single-threaded, so a
 // plain counter suffices. The TX and RX windows sit strictly inside a
-// PDU (per-cell work); the whole-PDU test then counts entire PDUs from
-// Host::send to the RX handler, where the only block allowed is the SDU
-// the host hands up (the handler takes it by value).
+// PDU (per-cell work); the whole-PDU tests then count entire PDUs from
+// Host::send to the RX handler, over a direct link and through a FIFO
+// and a DWRR switch, where the only block allowed is the SDU the host
+// hands up (the handler takes it by value).
 
 #include <gtest/gtest.h>
 
@@ -232,25 +233,26 @@ TEST(KernelZeroAlloc, PoollessAal5MidPduCellsAllocateNothing) {
 
 // --- Whole PDUs, host to host ---------------------------------------
 
-TEST(KernelZeroAlloc, WholePdusAllocateOnlyTheHandedUpSdu) {
-  core::Testbed bed;
-  core::StationConfig cfg;
-  cfg.nic.line = atm::sts3c();
-  cfg.name = "a";
-  core::Station& a = bed.add_station(cfg);
-  cfg.name = "b";
-  core::Station& b = bed.add_station(cfg);
-  bed.connect(a, b);
+constexpr std::size_t kWholePduVcs = 64;
 
-  constexpr std::size_t kVcs = 64;
+/// Opens kWholePduVcs VCs on both NICs.
+std::vector<atm::VcId> whole_pdu_vcs(core::Station& a, core::Station& b) {
   std::vector<atm::VcId> vcs;
-  for (std::size_t i = 0; i < kVcs; ++i) {
+  for (std::size_t i = 0; i < kWholePduVcs; ++i) {
     const atm::VcId vc{0, static_cast<std::uint16_t>(32 + i)};
     a.nic().open_vc(vc, aal::AalType::kAal5);
     b.nic().open_vc(vc, aal::AalType::kAal5);
     vcs.push_back(vc);
   }
+  return vcs;
+}
 
+/// Sends a warm-up batch of PDUs from `a` to `b`, then a measured batch
+/// of 200 whose only allocations must be the 200 SDUs `b` hands up.
+void expect_whole_pdus_allocate_only_the_sdu(core::Testbed& bed,
+                                             core::Station& a,
+                                             core::Station& b,
+                                             const std::vector<atm::VcId>& vcs) {
   std::uint64_t delivered = 0;
   std::uint64_t intact = 0;
   b.host().set_rx_handler([&](aal::Bytes sdu, const host::RxInfo&) {
@@ -261,13 +263,13 @@ TEST(KernelZeroAlloc, WholePdusAllocateOnlyTheHandedUpSdu) {
   // SDUs are built before a batch starts and moved into Host::send as
   // the send window opens; PDU k goes on VC k mod 64 with size k mod 3.
   constexpr std::size_t kSizes[] = {40, 1500, 9180};
+  const std::size_t window = a.config().host.max_inflight_tx;
   std::vector<aal::Bytes> sdus;
   std::size_t next = 0;
   std::uint64_t sent = 0;
   auto pump = [&] {
-    while (next < sdus.size() &&
-           a.host().inflight_tx() < cfg.host.max_inflight_tx) {
-      ASSERT_TRUE(a.host().send(vcs[sent % kVcs], aal::AalType::kAal5,
+    while (next < sdus.size() && a.host().inflight_tx() < window) {
+      ASSERT_TRUE(a.host().send(vcs[sent % vcs.size()], aal::AalType::kAal5,
                                 std::move(sdus[next])));
       ++next;
       ++sent;
@@ -303,6 +305,51 @@ TEST(KernelZeroAlloc, WholePdusAllocateOnlyTheHandedUpSdu) {
   EXPECT_EQ(intact, delivered);
   EXPECT_LE(a.nic().tx().staging_slots(),
             nic::TxPathConfig{}.staged_pdus + 1);
+}
+
+TEST(KernelZeroAlloc, WholePdusAllocateOnlyTheHandedUpSdu) {
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.line = atm::sts3c();
+  cfg.name = "a";
+  core::Station& a = bed.add_station(cfg);
+  cfg.name = "b";
+  core::Station& b = bed.add_station(cfg);
+  bed.connect(a, b);
+  const std::vector<atm::VcId> vcs = whole_pdu_vcs(a, b);
+  expect_whole_pdus_allocate_only_the_sdu(bed, a, b, vcs);
+}
+
+/// The same PDUs through one switch: station a -> port 0, port 1 -> b.
+void expect_switched_pdus_allocate_only_the_sdu(net::SwitchScheduler sched) {
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.line = atm::sts3c();
+  cfg.name = "a";
+  core::Station& a = bed.add_station(cfg);
+  cfg.name = "b";
+  core::Station& b = bed.add_station(cfg);
+  net::SwitchConfig swc;
+  swc.queue_cells = 1024;
+  swc.clp_threshold = swc.queue_cells;
+  swc.scheduler = sched;
+  net::Switch& sw = bed.add_switch(swc);
+  bed.connect_to_switch(a, sw, 0);
+  bed.connect_from_switch(sw, 1, b);
+  const std::vector<atm::VcId> vcs = whole_pdu_vcs(a, b);
+  for (std::size_t i = 0; i < vcs.size(); ++i) {
+    sw.add_route(0, vcs[i], 1, vcs[i], 1 + static_cast<std::uint32_t>(i % 3));
+  }
+  expect_whole_pdus_allocate_only_the_sdu(bed, a, b, vcs);
+  EXPECT_GT(sw.cells_forwarded(), 0u);
+}
+
+TEST(KernelZeroAlloc, FifoSwitchedPdusAllocateOnlyTheHandedUpSdu) {
+  expect_switched_pdus_allocate_only_the_sdu(net::SwitchScheduler::kFifo);
+}
+
+TEST(KernelZeroAlloc, DwrrSwitchedPdusAllocateOnlyTheHandedUpSdu) {
+  expect_switched_pdus_allocate_only_the_sdu(net::SwitchScheduler::kDwrr);
 }
 
 // --- Host verify ----------------------------------------------------
