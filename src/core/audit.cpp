@@ -105,21 +105,36 @@ void InvariantAuditor::audit_tx_line(const atm::TxFramer& framer,
             name + ": running framer with queued cells has a wake armed");
 }
 
-void InvariantAuditor::audit_hop(Station& tx, const net::Link& link,
-                                 Station& rx) {
-  const std::string who = tx.name() + "->" + rx.name() + ": ";
+void InvariantAuditor::audit_hop(const End& from, const net::Link& link,
+                                 const End& to) {
+  const auto label = [](const End& end, const char* side) {
+    return end.station != nullptr ? end.name
+                                  : end.name + side + std::to_string(end.port);
+  };
+  const std::string who = label(from, ".out") + "->" + label(to, ".in") + ": ";
 
-  // The framer forwards every cell it pops straight onto the link.
-  expect_eq(tx.nic().tx().fifo().pops(), link.cells_in(),
-            "hop emission conservation",
-            who + "framer pops == link cells in");
+  // A station's framer forwards every cell it pops straight onto the
+  // link; a switch counts a cell forwarded on a port as it commits the
+  // cell to that port's output slot.
+  expect_eq(from.station != nullptr
+                ? from.station->nic().tx().fifo().pops()
+                : from.sw->cells_forwarded_on(from.port),
+            link.cells_in(), "hop emission conservation",
+            who + "cells out == link cells in");
 
-  // Cells the link accepted either died on it or arrived; the receive
-  // count additionally includes alarm cells the RX PHY itself inserted
-  // while the link was down.
-  expect_eq(link.cells_in() - link.cells_lost() - link.cells_dropped_down()
-                + rx.nic().ais_inserted(),
-            rx.nic().rx().cells_received(),
+  // Cells the link accepted either died on it or arrived; a station's
+  // receive count additionally includes alarm cells its RX PHY itself
+  // inserted while the link was down.
+  const std::uint64_t arrived =
+      link.cells_in() - link.cells_lost() - link.cells_dropped_down();
+  if (to.station == nullptr) {
+    expect_eq(arrived, to.sw->cells_received_on(to.port),
+              "hop delivery conservation",
+              who + "sent - lost - down_dropped == received on port");
+    return;
+  }
+  nic::Nic& rx = to.station->nic();
+  expect_eq(arrived + rx.ais_inserted(), rx.rx().cells_received(),
             "hop delivery conservation",
             who + "sent - lost - down_dropped + ais == received");
 
@@ -127,10 +142,8 @@ void InvariantAuditor::audit_hop(Station& tx, const net::Link& link,
   // the bit flip, so every header-corrupted cell reaches the receiver;
   // and it flips at most one header bit per cell, so each such cell
   // must be either HEC-corrected or HEC-discarded — no third fate.
-  expect_eq(rx.nic().rx().cells_hec_corrected() +
-                rx.nic().rx().cells_hec_discarded(),
-            link.cells_corrupted_header(),
-            "hop corruption accounting",
+  expect_eq(rx.rx().cells_hec_corrected() + rx.rx().cells_hec_discarded(),
+            link.cells_corrupted_header(), "hop corruption accounting",
             who + "hec_corrected + hec_discarded == header_corrupted");
 }
 
@@ -180,57 +193,6 @@ void InvariantAuditor::audit_switch(const net::Switch& sw,
   // accounted under.
   expect_le(sw.cells_purged_on_close(), sw.cells_dropped_overflow(),
             "switch purge bound", who + "purged_on_close <= overflow");
-}
-
-void InvariantAuditor::audit_ingress_hop(Station& tx, const net::Link& link,
-                                         const net::Switch& sw,
-                                         std::size_t port,
-                                         const std::string& sw_name) {
-  const std::string who =
-      tx.name() + "->" + sw_name + ".in" + std::to_string(port) + ": ";
-  expect_eq(tx.nic().tx().fifo().pops(), link.cells_in(),
-            "ingress-hop emission conservation",
-            who + "framer pops == link cells in");
-  expect_eq(link.cells_in() - link.cells_lost() - link.cells_dropped_down(),
-            sw.cells_received_on(port),
-            "ingress-hop delivery conservation",
-            who + "sent - lost - down_dropped == switch received on port");
-}
-
-void InvariantAuditor::audit_trunk_hop(const net::Switch& tx,
-                                       std::size_t tx_port,
-                                       const net::Link& link,
-                                       const net::Switch& rx,
-                                       std::size_t rx_port,
-                                       const std::string& tx_name,
-                                       const std::string& rx_name) {
-  const std::string who = tx_name + ".out" + std::to_string(tx_port) + "->" +
-                          rx_name + ".in" + std::to_string(rx_port) + ": ";
-  expect_eq(tx.cells_forwarded_on(tx_port), link.cells_in(),
-            "trunk-hop emission conservation",
-            who + "forwarded on port == link cells in");
-  expect_eq(link.cells_in() - link.cells_lost() - link.cells_dropped_down(),
-            rx.cells_received_on(rx_port),
-            "trunk-hop delivery conservation",
-            who + "sent - lost - down_dropped == received on port");
-}
-
-void InvariantAuditor::audit_egress_hop(const net::Switch& sw,
-                                        std::size_t port,
-                                        const net::Link& link, Station& rx,
-                                        const std::string& sw_name) {
-  const std::string who =
-      sw_name + ".out" + std::to_string(port) + "->" + rx.name() + ": ";
-  expect_eq(sw.cells_forwarded_on(port), link.cells_in(),
-            "egress-hop emission conservation",
-            who + "forwarded on port == link cells in");
-  // The receive count additionally includes alarm cells the RX PHY
-  // itself inserted while the link was down (same as audit_hop).
-  expect_eq(link.cells_in() - link.cells_lost() - link.cells_dropped_down()
-                + rx.nic().ais_inserted(),
-            rx.nic().rx().cells_received(),
-            "egress-hop delivery conservation",
-            who + "sent - lost - down_dropped + ais == received");
 }
 
 std::string InvariantAuditor::report() const {

@@ -15,7 +15,9 @@
 //                            wake armed (an event-driven framer that
 //                            misses a wake would only lose throughput)
 //   * wire hop (quiescent):  sent == delivered + lost + dropped-down,
-//                            received == delivered + AIS inserted
+//                            received == delivered + AIS inserted,
+//                            and, into a station, every header-corrupted
+//                            cell HEC-corrected or HEC-discarded
 //
 // Station identities hold at *any* instant (counters update together);
 // hop identities only once the simulator has run dry (cells in flight
@@ -34,6 +36,16 @@
 #include "net/switch.hpp"
 
 namespace hni::core {
+
+/// One end of a simplex wire hop: a station's NIC, or one port of a
+/// switch (its output port when the end sends, its input port when it
+/// receives).
+struct End {
+  Station* station = nullptr;  // set for a station end...
+  net::Switch* sw = nullptr;   // ...else the switch and its port
+  std::size_t port = 0;
+  std::string name;            // station name or switch label, for reports
+};
 
 class InvariantAuditor {
  public:
@@ -60,32 +72,15 @@ class InvariantAuditor {
   /// runs it on the station's NIC).
   void audit_tx_line(const atm::TxFramer& framer, const std::string& name);
 
-  /// Audits a simplex wire hop tx -> link -> rx. Only valid once the
+  /// Audits a simplex wire hop from -> link -> to. Only valid once the
   /// simulator has run dry: cells in flight are on nobody's books.
-  void audit_hop(Station& tx, const net::Link& link, Station& rx);
+  void audit_hop(const End& from, const net::Link& link, const End& to);
 
   /// Audits a switch's receive and queue-stage conservation identities.
   /// Both hold at any instant (the switch counts a cell forwarded the
   /// moment the scheduler commits it to an output slot), but Testbed
   /// runs this alongside the quiescent hop audit.
   void audit_switch(const net::Switch& sw, const std::string& name);
-
-  // Per-hop fabric audits (quiescent only, like audit_hop): every link
-  // of a multi-hop path balances against the per-port books of the
-  // switch on each side.
-  /// station TX -> link -> switch input port.
-  void audit_ingress_hop(Station& tx, const net::Link& link,
-                         const net::Switch& sw, std::size_t port,
-                         const std::string& sw_name);
-  /// switch output port -> trunk link -> switch input port.
-  void audit_trunk_hop(const net::Switch& tx, std::size_t tx_port,
-                       const net::Link& link, const net::Switch& rx,
-                       std::size_t rx_port, const std::string& tx_name,
-                       const std::string& rx_name);
-  /// switch output port -> link -> station RX.
-  void audit_egress_hop(const net::Switch& sw, std::size_t port,
-                        const net::Link& link, Station& rx,
-                        const std::string& sw_name);
 
   bool ok() const { return violations_.empty(); }
   std::size_t checks_run() const { return checks_; }

@@ -14,11 +14,12 @@ Testbed::~Testbed() {
   }
 }
 
-std::string Testbed::switch_label(const net::Switch* sw) const {
+End Testbed::switch_end(net::Switch& sw, std::size_t port) const {
+  std::string name = "switch.?";
   for (std::size_t i = 0; i < switches_.size(); ++i) {
-    if (switches_[i].get() == sw) return "switch." + std::to_string(i);
+    if (switches_[i].get() == &sw) name = "switch." + std::to_string(i);
   }
-  return "switch.?";
+  return {nullptr, &sw, port, std::move(name)};
 }
 
 bool Testbed::hosts_sending() const {
@@ -36,28 +37,10 @@ InvariantAuditor Testbed::audit(bool include_hops) {
   InvariantAuditor auditor;
   for (auto& s : stations_) auditor.audit_station(*s);
   if (include_hops) {
-    for (const Hop& hop : hops_) {
-      auditor.audit_hop(*hop.tx, *hop.link, *hop.rx);
-    }
     for (std::size_t i = 0; i < switches_.size(); ++i) {
       auditor.audit_switch(*switches_[i], "switch." + std::to_string(i));
     }
-    // Per-hop conservation over every recorded fabric hop — each switch
-    // on a multi-hop path gets its ingress, trunk and egress links
-    // balanced, not just the first one.
-    for (const IngressHop& hop : ingress_hops_) {
-      auditor.audit_ingress_hop(*hop.tx, *hop.link, *hop.sw, hop.port,
-                                switch_label(hop.sw));
-    }
-    for (const TrunkHop& hop : trunk_hops_) {
-      auditor.audit_trunk_hop(*hop.tx, hop.tx_port, *hop.link, *hop.rx,
-                              hop.rx_port, switch_label(hop.tx),
-                              switch_label(hop.rx));
-    }
-    for (const EgressHop& hop : egress_hops_) {
-      auditor.audit_egress_hop(*hop.sw, hop.port, *hop.link, *hop.rx,
-                               switch_label(hop.sw));
-    }
+    for (const Hop& hop : hops_) auditor.audit_hop(hop.from, *hop.link, hop.to);
     audit_path_conservation(auditor);
   }
   return auditor;
@@ -70,30 +53,19 @@ void Testbed::audit_path_conservation(InvariantAuditor& auditor) const {
   // fabric saw. A scenario that wired some switch port by hand (raw
   // add_link + set_sink) is skipped — its switches are still audited
   // individually by audit_switch.
-  const auto recorded_input = [&](const net::Switch* sw, std::size_t port) {
-    for (const IngressHop& h : ingress_hops_) {
-      if (h.sw == sw && h.port == port) return true;
-    }
-    for (const TrunkHop& h : trunk_hops_) {
-      if (h.rx == sw && h.rx_port == port) return true;
-    }
-    return false;
-  };
-  const auto recorded_output = [&](const net::Switch* sw, std::size_t port) {
-    for (const EgressHop& h : egress_hops_) {
-      if (h.sw == sw && h.port == port) return true;
-    }
-    for (const TrunkHop& h : trunk_hops_) {
-      if (h.tx == sw && h.tx_port == port) return true;
-    }
-    return false;
+  const auto recorded = [&](const net::Switch* sw, std::size_t port,
+                            bool input) {
+    return std::any_of(hops_.begin(), hops_.end(), [&](const Hop& h) {
+      const End& end = input ? h.to : h.from;
+      return end.sw == sw && end.port == port;
+    });
   };
   for (const auto& sw : switches_) {
     for (std::size_t p = 0; p < sw->config().ports; ++p) {
-      if (sw->cells_received_on(p) > 0 && !recorded_input(sw.get(), p)) {
+      if (sw->cells_received_on(p) > 0 && !recorded(sw.get(), p, true)) {
         return;
       }
-      if (sw->cells_forwarded_on(p) > 0 && !recorded_output(sw.get(), p)) {
+      if (sw->cells_forwarded_on(p) > 0 && !recorded(sw.get(), p, false)) {
         return;
       }
     }
@@ -104,14 +76,14 @@ void Testbed::audit_path_conservation(InvariantAuditor& auditor) const {
   std::uint64_t ingress_in = 0;
   std::uint64_t egress_in = 0;
   std::uint64_t wire_losses = 0;
-  for (const IngressHop& h : ingress_hops_) {
-    ingress_in += h.link->cells_in();
-    wire_losses += h.link->cells_lost() + h.link->cells_dropped_down();
+  for (const Hop& h : hops_) {
+    if (h.to.sw != nullptr) {  // into a switch: fabric ingress or trunk
+      if (h.from.station != nullptr) ingress_in += h.link->cells_in();
+      wire_losses += h.link->cells_lost() + h.link->cells_dropped_down();
+    } else if (h.from.sw != nullptr) {  // switch -> station: egress
+      egress_in += h.link->cells_in();
+    }
   }
-  for (const TrunkHop& h : trunk_hops_) {
-    wire_losses += h.link->cells_lost() + h.link->cells_dropped_down();
-  }
-  for (const EgressHop& h : egress_hops_) egress_in += h.link->cells_in();
   std::uint64_t ais = 0;
   std::uint64_t drops = 0;
   std::uint64_t resident = 0;
@@ -160,17 +132,33 @@ net::Link& Testbed::add_link(sim::Time propagation, net::LossModel loss,
   return *links_.back();
 }
 
+net::Link& Testbed::wire(End from, End to, net::LossModel loss,
+                         sim::Time propagation) {
+  net::Link& link = add_link(propagation, loss, next_seed());
+  if (to.station != nullptr) {
+    to.station->nic().attach_rx(link);  // sink + loss-of-signal observer
+  } else {
+    link.set_sink([sw = to.sw, port = to.port](const net::WireCell& w) {
+      sw->receive(port, w);
+    });
+    // The switch watches the link *feeding* it: link down -> it
+    // originates AIS for every route entering on that port.
+    to.sw->set_input_link(to.port, link);
+  }
+  if (from.station != nullptr) {
+    from.station->nic().attach_tx(link);
+  } else {
+    from.sw->attach_output(from.port, link);
+  }
+  hops_.push_back({std::move(from), &link, std::move(to)});
+  return link;
+}
+
 std::pair<net::Link*, net::Link*> Testbed::connect(Station& a, Station& b,
                                                    net::LossModel loss,
                                                    sim::Time propagation) {
-  net::Link& ab = add_link(propagation, loss, next_seed());
-  net::Link& ba = add_link(propagation, loss, next_seed());
-  b.nic().attach_rx(ab);  // sink + loss-of-signal observer
-  a.nic().attach_rx(ba);
-  a.nic().attach_tx(ab);
-  b.nic().attach_tx(ba);
-  hops_.push_back({&a, &ab, &b});
-  hops_.push_back({&b, &ba, &a});
+  net::Link& ab = wire(station_end(a), station_end(b), loss, propagation);
+  net::Link& ba = wire(station_end(b), station_end(a), loss, propagation);
   return {&ab, &ba};
 }
 
@@ -187,38 +175,22 @@ net::Switch& Testbed::add_switch(net::SwitchConfig config) {
 void Testbed::connect_to_switch(Station& s, net::Switch& sw,
                                 std::size_t port, net::LossModel loss,
                                 sim::Time propagation) {
-  net::Link& link = add_link(propagation, loss, next_seed());
-  link.set_sink(
-      [&sw, port](const net::WireCell& w) { sw.receive(port, w); });
-  s.nic().attach_tx(link);
-  sw.set_input_link(port, link);
-  ingress_hops_.push_back({&s, &link, &sw, port});
+  wire(station_end(s), switch_end(sw, port), loss, propagation);
 }
 
 void Testbed::connect_from_switch(net::Switch& sw, std::size_t port,
                                   Station& s, net::LossModel loss,
                                   sim::Time propagation) {
-  net::Link& link = add_link(propagation, loss, next_seed());
-  s.nic().attach_rx(link);
-  sw.attach_output(port, link);
-  egress_hops_.push_back({&sw, port, &link, &s});
+  wire(switch_end(sw, port), station_end(s), loss, propagation);
 }
 
 std::pair<net::Link*, net::Link*> Testbed::connect_trunk(
     net::Switch& a, std::size_t port_a, net::Switch& b, std::size_t port_b,
     net::LossModel loss, sim::Time propagation) {
-  net::Link& ab = add_link(propagation, loss, next_seed());
-  net::Link& ba = add_link(propagation, loss, next_seed());
-  ab.set_sink([&b, port_b](const net::WireCell& w) { b.receive(port_b, w); });
-  ba.set_sink([&a, port_a](const net::WireCell& w) { a.receive(port_a, w); });
-  a.attach_output(port_a, ab);
-  b.attach_output(port_b, ba);
-  // Each switch watches the link *feeding* it: trunk down -> the
-  // downstream switch originates AIS for every route entering there.
-  b.set_input_link(port_b, ab);
-  a.set_input_link(port_a, ba);
-  trunk_hops_.push_back({&a, port_a, &ab, &b, port_b});
-  trunk_hops_.push_back({&b, port_b, &ba, &a, port_a});
+  net::Link& ab =
+      wire(switch_end(a, port_a), switch_end(b, port_b), loss, propagation);
+  net::Link& ba =
+      wire(switch_end(b, port_b), switch_end(a, port_a), loss, propagation);
   return {&ab, &ba};
 }
 

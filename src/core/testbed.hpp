@@ -100,41 +100,29 @@ class Testbed {
   std::uint64_t cells_received() const;
 
   /// Runs the invariant auditor over every station; with
-  /// `include_hops`, also audits each connect()ed wire hop (only valid
+  /// `include_hops`, also audits every switch and each wire hop the
+  /// connect calls made, and the fabric's end-to-end books (only valid
   /// once the event queue has run dry — cells in flight are on
   /// nobody's books).
   InvariantAuditor audit(bool include_hops = false);
 
  private:
+  // Recorded fabric wiring, one record per simplex wire: the audit runs
+  // per-hop conservation over every one of them, so each switch of a
+  // multi-hop path gets its input and output links balanced.
   struct Hop {
-    Station* tx;
+    End from;
     net::Link* link;
-    Station* rx;
-  };
-  // Recorded fabric wiring, one struct per simplex hop kind — the audit
-  // sweeps these to run per-hop conservation on every switch of a
-  // multi-hop path, not just the station-to-station case.
-  struct IngressHop {
-    Station* tx;
-    net::Link* link;
-    net::Switch* sw;
-    std::size_t port;
-  };
-  struct EgressHop {
-    net::Switch* sw;
-    std::size_t port;
-    net::Link* link;
-    Station* rx;
-  };
-  struct TrunkHop {
-    net::Switch* tx;
-    std::size_t tx_port;
-    net::Link* link;
-    net::Switch* rx;
-    std::size_t rx_port;
+    End to;
   };
 
-  std::string switch_label(const net::Switch* sw) const;
+  End station_end(Station& s) const { return {&s, nullptr, 0, s.name()}; }
+  End switch_end(net::Switch& sw, std::size_t port) const;
+  /// Creates the link from -> to (its seed and "link.N" name come next
+  /// in order), attaches the receiving end, then the sending end, and
+  /// records the hop.
+  net::Link& wire(End from, End to, net::LossModel loss,
+                  sim::Time propagation);
   void audit_path_conservation(InvariantAuditor& auditor) const;
 
   std::uint64_t next_seed() { return seed_counter_++; }
@@ -151,9 +139,6 @@ class Testbed {
   std::vector<std::unique_ptr<net::Link>> links_;
   std::vector<std::unique_ptr<net::Switch>> switches_;
   std::vector<Hop> hops_;
-  std::vector<IngressHop> ingress_hops_;
-  std::vector<EgressHop> egress_hops_;
-  std::vector<TrunkHop> trunk_hops_;
   std::uint64_t seed_counter_ = 0x5EED;
 };
 

@@ -14,19 +14,24 @@ Host::Host(sim::Simulator& sim, bus::HostMemory& memory, nic::Nic& nic,
   nic_.tx().set_completion(
       [this](const nic::TxDescriptor& d) { on_tx_complete(d); });
   nic_.rx().set_deliver([this](nic::RxDelivery d) { on_rx(std::move(d)); });
-  // Congestion visibility: record every throttle/recovery the NIC's
-  // closed-loop controller applies, per VC, for applications to read.
-  nic_.set_congestion_handler([this](atm::VcId vc, double factor) {
-    rate_factors_[vc] = factor;
-    congestion_events_.add();
-  });
+  // Congestion visibility: count every throttle/recovery the NIC's
+  // closed-loop controller applies (tx_rate_factor reads the NIC).
+  nic_.set_congestion_handler(
+      [this](atm::VcId, double) { congestion_events_.add(); });
   // Post the receive-buffer budget: the NIC draws landing pages from it
   // and a delivery returns them once the host has consumed the SDU.
   rx_pages_available_ = config_.rx_posted_pages;
   // Pin what the driver can hold at once: the posted receive budget
   // plus one staging page per send-window slot. The page allocator
   // hands out the lowest pages first, so while the outstanding pages
-  // stay within this prefix no page is first touched mid-run.
+  // stay within this prefix no page is first touched mid-run. The
+  // prefix counts one staging page per send slot, but send() stages an
+  // SDU in ceil(len / page) pages: a station that sends multi-page
+  // SDUs at a full window while holding its whole posted receive
+  // budget first-touches pages mid-run. Sizing for that case needs the
+  // largest SDU, which HostConfig does not carry; hostbench p2p-bulk's
+  // sender (window 64, 9180-octet SDUs) peaks at 192 pages, inside its
+  // 576 pinned pages, because its receive budget sits unused.
   memory_.pin(config_.rx_posted_pages + config_.max_inflight_tx);
   nic_.rx().set_buffer_allocator(
       [this](std::size_t bytes) -> std::optional<bus::SgList> {

@@ -85,11 +85,10 @@ class Host {
   /// Receive pages currently posted (available to the NIC).
   std::size_t rx_pages_posted() const { return rx_pages_available_; }
 
-  /// Congestion visibility: the last TX rate factor the NIC's
-  /// closed-loop controller reported for `vc` (1.0 = never squeezed).
+  /// Congestion visibility: the TX rate factor the NIC currently
+  /// applies to `vc` (1.0 = unthrottled).
   double tx_rate_factor(atm::VcId vc) const {
-    const auto it = rate_factors_.find(vc);
-    return it != rate_factors_.end() ? it->second : 1.0;
+    return nic_.vc_rate_factor(vc);
   }
   /// Throttle/recovery events the NIC reported to this host.
   std::uint64_t congestion_events() const { return congestion_events_.value(); }
@@ -116,8 +115,6 @@ class Host {
   sim::Ring<nic::RxDelivery> landed_;
   // Descriptors accepted by the host but refused by a full NIC ring.
   sim::Ring<nic::TxDescriptor> backlog_;
-  // Last-reported TX rate factor per VC (congestion visibility).
-  std::unordered_map<atm::VcId, double> rate_factors_;
 
   sim::Counter sent_;
   sim::Counter received_;

@@ -1,6 +1,7 @@
 #include "net/switch.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "atm/oam.hpp"
@@ -85,13 +86,14 @@ bool Switch::remove_route(std::size_t in_port, atm::VcId vc) {
   if (found.value == nullptr) return false;
   const bool had_route = found.value->has_route;
   if (found.value->upc == Upc::kTrTcm) meters_.erase(label);
-  if (had_route && config_.scheduler != SwitchScheduler::kFifo) {
-    // Purge the closed VC's output queue. Resident cells are accounted
+  if (had_route) {
+    // Purge the closed VC's output queue (kFifo's shared queue is never
+    // in `queues`, so its cells stay). Resident cells are accounted
     // as overflow drops (the queue-stage identity keeps balancing), the
     // active-ring ticket is retired before the record is erased so the
     // scheduler never dereferences a recycled arena slot, and a later
     // connection reusing the same out-VC label starts from a fresh
-    // record instead of inheriting stale weight/deficit state.
+    // record instead of inheriting stale grant/deficit state.
     OutputPort& out = outputs_[found.value->out_port];
     const std::uint32_t out_label = atm::vc_label(found.value->out_vc);
     VcQueue* vq = out.queues.find(out_label).value;
@@ -177,18 +179,24 @@ void Switch::inject_control(const VcEntry& entry, WireCell wire) {
     dropped_.add();
     return;
   }
-  const std::size_t out_port = entry.out_port;
+  enqueue(entry, std::move(wire));
+}
+
+void Switch::enqueue(const VcEntry& entry, WireCell cell) {
+  OutputPort& out = outputs_[entry.out_port];
+  VcQueue* vq = &out.shared;
   if (config_.scheduler == SwitchScheduler::kFifo) {
-    out.fifo.push_back(std::move(wire));
+    vq->grant = std::numeric_limits<std::uint32_t>::max();
   } else {
-    auto [vq, inserted] = out.queues.try_emplace(atm::vc_label(entry.out_vc));
-    vq->weight = entry.weight;
-    if (vq->cells.empty()) out.order.push_back(vq);
-    vq->cells.push_back(std::move(wire));
+    vq = out.queues.try_emplace(atm::vc_label(entry.out_vc)).first;
+    // Follow route reprogramming live.
+    vq->grant = config_.scheduler == SwitchScheduler::kDwrr ? entry.weight : 1;
   }
+  if (vq->cells.empty()) out.order.push_back(vq);  // now active
+  vq->cells.push_back(std::move(cell));
   ++out.occupancy;
   out.depth.set(sim_.now(), static_cast<double>(out.occupancy));
-  if (!out.serving) serve(out_port);
+  if (!out.serving) serve(entry.out_port);
 }
 
 bool Switch::wred_decides_drop(std::size_t occupancy, bool tagged) {
@@ -428,19 +436,7 @@ void Switch::receive(std::size_t in_port, const WireCell& wire) {
   cell.bytes[4] = atm::hec_compute(
       std::span<const std::uint8_t, 4>(cell.bytes.data(), 4));
 
-  const std::size_t out_port = entry->out_port;
-  if (config_.scheduler == SwitchScheduler::kFifo) {
-    out.fifo.push_back(std::move(cell));
-  } else {
-    auto [vq, inserted] =
-        out.queues.try_emplace(atm::vc_label(entry->out_vc));
-    vq->weight = entry->weight;  // follow route reprogramming live
-    if (vq->cells.empty()) out.order.push_back(vq);  // now active
-    vq->cells.push_back(std::move(cell));
-  }
-  ++out.occupancy;
-  out.depth.set(sim_.now(), static_cast<double>(out.occupancy));
-  if (!out.serving) serve(out_port);
+  enqueue(*entry, std::move(cell));
 }
 
 void Switch::serve(std::size_t out_port) {
@@ -450,30 +446,19 @@ void Switch::serve(std::size_t out_port) {
     return;
   }
   out.serving = true;
-  WireCell cell;
-  if (config_.scheduler == SwitchScheduler::kFifo) {
-    cell = out.fifo.take_front();
-  } else if (config_.scheduler == SwitchScheduler::kRoundRobin) {
-    VcQueue* vq = out.order.take_front();
-    cell = vq->cells.take_front();
-    if (!vq->cells.empty()) {
-      out.order.push_back(vq);  // still active: back of the ring
-    }
-  } else {
-    // DWRR: the head queue holds the token until its grant (deficit,
-    // refilled to `weight` on reaching the head) is spent or it runs
-    // out of cells; weights therefore set the per-round service ratio.
-    VcQueue* vq = out.order.front();
-    if (vq->deficit == 0) vq->deficit = std::max<std::uint32_t>(vq->weight, 1);
-    cell = vq->cells.take_front();
-    --vq->deficit;
-    if (vq->cells.empty()) {
-      out.order.pop_front();  // drained: leave the ring, forfeit grant
-      vq->deficit = 0;
-    } else if (vq->deficit == 0) {
-      out.order.pop_front();  // grant spent: rotate to the ring's back
-      out.order.push_back(vq);
-    }
+  // Deficit round robin: the head queue holds the turn until its grant
+  // (refilled on reaching the head) is spent or it runs out of cells;
+  // the grants therefore set the per-round service ratio.
+  VcQueue* vq = out.order.front();
+  if (vq->deficit == 0) vq->deficit = vq->grant;
+  WireCell cell = vq->cells.take_front();
+  --vq->deficit;
+  if (vq->cells.empty()) {
+    out.order.pop_front();  // drained: leave the ring, forfeit the grant
+    vq->deficit = 0;
+  } else if (vq->deficit == 0) {
+    out.order.pop_front();  // grant spent: rotate to the ring's back
+    out.order.push_back(vq);
   }
   --out.occupancy;
   out.depth.set(sim_.now(), static_cast<double>(out.occupancy));

@@ -58,15 +58,18 @@
 
 namespace hni::net {
 
-/// Service order across the per-VC queues of one output port.
+/// Service order across the queues of one output port. Every variant
+/// is the same deficit round robin over the port's active queues; the
+/// scheduler sets which queue a cell joins and the grant that queue
+/// gets per turn.
 enum class SwitchScheduler : std::uint8_t {
-  kFifo,        // global arrival order (classic shared FIFO behaviour)
-  kRoundRobin,  // one cell per active VC per turn (no head-of-line
-                // capture by a bursty connection)
-  kDwrr,        // deficit-weighted round robin: each active VC gets a
-                // per-round grant of `weight` cells (sch_dwrr-style
-                // deficit counters), so service shares track the
-                // configured weights instead of 1/N
+  kFifo,        // one shared queue per port with an unbounded grant:
+                // global arrival order (classic shared FIFO behaviour)
+  kRoundRobin,  // per-VC queues, grant 1: one cell per active VC per
+                // turn (no head-of-line capture by a bursty connection)
+  kDwrr,        // per-VC queues, grant `weight`: deficit-weighted round
+                // robin (sch_dwrr-style deficit counters), so service
+                // shares track the configured weights instead of 1/N
 };
 
 /// WRED-style early discard on the shared output pool. Tagged (CLP=1)
@@ -116,7 +119,7 @@ struct SwitchConfig {
   /// thresholds. 0 disables either check.
   std::size_t vc_epd_cells = 0;
   std::size_t vc_queue_cells = 0;
-  /// Service order across per-VC output queues. kFifo reproduces the
+  /// Service order across the output queues. kFifo reproduces the
   /// historical shared-FIFO switch exactly.
   SwitchScheduler scheduler = SwitchScheduler::kFifo;
   /// Color-aware random early discard (see WredConfig).
@@ -374,11 +377,12 @@ class Switch {
     /// DWRR service weight on the output port (cells per round).
     std::uint16_t weight = 1;
   };
-  /// One (translated) VC's cells awaiting service on an output port.
+  /// Cells awaiting service on an output port: one (translated) VC's,
+  /// or under kFifo all of the port's.
   struct VcQueue {
     sim::Ring<WireCell> cells;
-    std::uint32_t weight = 1;   // refreshed from the route on enqueue
-    std::uint32_t deficit = 0;  // DWRR: cells left in the current grant
+    std::uint32_t grant = 1;    // cells per turn; refreshed on enqueue
+    std::uint32_t deficit = 0;  // cells left in the current turn
   };
   /// ERICA measurement state for one output port. Windows advance
   /// lazily on arrivals (no standing timer); the finalized snapshot is
@@ -396,19 +400,18 @@ class Switch {
     sim::FlatMap<std::uint32_t, double> vc_rate;  // cells/s by label
   };
   struct OutputPort {
-    /// kFifo service structure: the historical shared FIFO, literally —
-    /// one ring of cells in arrival order, so the default scheduler
-    /// pays nothing for the per-VC machinery it doesn't use.
-    sim::Ring<WireCell> fifo;
+    /// kFifo: the port's one queue, held directly, so the default
+    /// scheduler pays no table probe per cell.
+    VcQueue shared;
     /// kRoundRobin/kDwrr: per-VC queues keyed on the *outgoing* VC
-    /// label, all drawing on the shared `occupancy` pool bounded by
-    /// queue_cells, plus the active ring (one entry per non-empty VC
-    /// queue). Ring tickets are arena pointers — stable across inserts,
-    /// so the scheduler pays no table probe per served cell. A record
-    /// is erased only by remove_route, which first retires its ring
-    /// ticket and purges its resident cells, so no dangling pointer
-    /// survives the erase.
+    /// label. A record is erased only by remove_route, which first
+    /// retires its ring ticket and purges its resident cells, so no
+    /// dangling pointer survives the erase.
     sim::FlatMap<std::uint32_t, VcQueue> queues;
+    /// The active ring: one ticket per non-empty queue, all drawing on
+    /// the shared `occupancy` pool bounded by queue_cells. Tickets are
+    /// pointers to `shared` or to arena records, stable across inserts,
+    /// so the scheduler pays no table probe per served cell.
     sim::Ring<VcQueue*> order;
     std::size_t occupancy = 0;
     Link* link = nullptr;
@@ -448,6 +451,10 @@ class Switch {
   /// Enqueues a switch-originated control cell on entry's output queue
   /// (queue stage directly: offered + reserved-headroom admission).
   void inject_control(const VcEntry& entry, WireCell wire);
+  /// Queues an admitted cell for entry's output port — on the port's
+  /// shared queue (kFifo) or its VC's queue, with the grant the
+  /// scheduler gives that queue — and starts service if the port idles.
+  void enqueue(const VcEntry& entry, WireCell cell);
 
   sim::Simulator& sim_;
   SwitchConfig config_;

@@ -61,7 +61,7 @@ void RxPath::open_vc(atm::VcId vc, aal::AalType aal) {
   state.aal = aal;
   state.reasm = std::make_unique<aal::FrameReassembler>(
       aal, aal::FrameReassembler::Config(config_.max_sdu), &buffers_);
-  vcs_.insert(vc, std::move(state));
+  vcs_.insert(atm::vc_label(vc), std::move(state));
 }
 
 void RxPath::register_metrics(const sim::MetricScope& scope) {
@@ -93,7 +93,8 @@ void RxPath::register_metrics(const sim::MetricScope& scope) {
   fifo_.register_metrics(scope.sub("fifo"));
   dma_.register_metrics(scope.sub("dma"));
   scope.vc_family([this](sim::VcRowWriter& rows) {
-    vcs_.for_each([&rows](atm::VcId vc, const VcState& vs) {
+    vcs_.for_each([&rows](std::uint32_t label, const VcState& vs) {
+      const atm::VcId vc = atm::vc_from_label(label);
       rows.begin(vc.vpi, vc.vci);
       rows.counter("cells", vs.m_cells);
       rows.counter("cells_efci_marked", vs.m_efci);
@@ -104,7 +105,7 @@ void RxPath::register_metrics(const sim::MetricScope& scope) {
 
 void RxPath::close_vc(atm::VcId vc) {
   board_.release(chain_key(vc));
-  vcs_.erase(vc);
+  vcs_.erase(atm::vc_label(vc));
 }
 
 void RxPath::receive_wire(const net::WireCell& wire) {
@@ -153,10 +154,10 @@ void RxPath::reset_engine() {
   while (fifo_.pop()) flushed_.add();
   // Reclaim the containers of every interrupted reassembly and reset
   // the streams so the next first cell starts a fresh PDU.
-  vcs_.for_each([this](atm::VcId vc, VcState& state) {
+  vcs_.for_each([this](std::uint32_t label, VcState& state) {
     if (!state.reasm->mid_pdu()) return;
     aborted_.add();
-    board_.release(chain_key(vc));
+    board_.release(chain_key(atm::vc_from_label(label)));
     state.reasm->reset();
   });
   service();
@@ -169,8 +170,8 @@ void RxPath::service() {
   serviced_.add();
   engine_busy_ = true;
 
-  auto found = vcs_.find(cell->header.vc);
-  if (found.state == nullptr) {
+  auto found = vcs_.find(atm::vc_label(cell->header.vc));
+  if (found.value == nullptr) {
     // Unknown VC: the engine still pays arrival + lookup to find out.
     no_vc_.add();
     const std::uint32_t instr = rx_cell_instructions(
@@ -183,7 +184,7 @@ void RxPath::service() {
     return;
   }
 
-  VcState& state = *found.state;
+  VcState& state = *found.value;
 
   // Any cell on a known VC proves the connection is alive — the
   // continuity-check sink resets its loss-of-continuity clock on this.
@@ -236,14 +237,14 @@ void RxPath::service() {
   engine_.execute(instr, [this, c = std::move(c)]() mutable {
     // Re-find the state: the VC table may have changed while the engine
     // worked (close_vc mid-flight).
-    auto f = vcs_.find(c.header.vc);
-    if (f.state == nullptr) {
+    VcState* state = vcs_.find(atm::vc_label(c.header.vc)).value;
+    if (state == nullptr) {
       no_vc_.add();
       engine_busy_ = false;
       service();
       return;
     }
-    process_cell(std::move(c), *f.state);
+    process_cell(std::move(c), *state);
   });
 }
 
@@ -255,13 +256,13 @@ bool RxPath::is_first_cell(const atm::Cell& cell, const VcState& state) {
 
 void RxPath::sweep_stale_pdus() {
   const sim::Time now = sim_.now();
-  vcs_.for_each([&](atm::VcId vc, VcState& state) {
+  vcs_.for_each([&](std::uint32_t label, VcState& state) {
     if (!state.reasm->mid_pdu()) return;
     if (now - state.last_activity < config_.reassembly_timeout) return;
     // A PDU went quiet mid-assembly (lost final cell, dead sender):
     // reclaim its containers and reset the stream.
     timeouts_.add();
-    board_.release(chain_key(vc));
+    board_.release(chain_key(atm::vc_from_label(label)));
     state.reasm->reset();
   });
   sim_.after(config_.reassembly_timeout, [this] { sweep_stale_pdus(); });
@@ -351,7 +352,9 @@ void RxPath::landed(Landing* l) {
   pdus_ok_.add();
   // The VC may have closed while the DMA was in flight; its per-VC
   // books went with it.
-  if (VcState* vs = vcs_.find(out.vc).state) vs->m_pdus.add();
+  if (VcState* vs = vcs_.find(atm::vc_label(out.vc)).value) {
+    vs->m_pdus.add();
+  }
   pending_deliveries_.push_back(std::move(out));
   interrupts_.post();
 }

@@ -43,10 +43,10 @@
 #include "net/link.hpp"
 #include "nic/buffer_mgr.hpp"
 #include "nic/interrupt.hpp"
-#include "nic/vc_table.hpp"
 #include "nic/watchdog.hpp"
 #include "proc/engine.hpp"
 #include "proc/firmware.hpp"
+#include "sim/flat_table.hpp"
 #include "sim/pool.hpp"
 
 namespace hni::nic {
@@ -101,13 +101,17 @@ class RxPath {
   void open_vc(atm::VcId vc, aal::AalType aal);
   void close_vc(atm::VcId vc);
   /// Whether `vc` is currently open (audit/reconciliation path).
-  bool vc_open(atm::VcId vc) const { return vcs_.contains(vc); }
+  bool vc_open(atm::VcId vc) const {
+    return vcs_.contains(atm::vc_label(vc));
+  }
   std::size_t vcs_open() const { return vcs_.size(); }
   /// Every open VC, for state reconciliation (cold path, allocates).
   std::vector<atm::VcId> open_vc_ids() const {
     std::vector<atm::VcId> out;
     out.reserve(vcs_.size());
-    vcs_.for_each([&out](atm::VcId vc, const VcState&) { out.push_back(vc); });
+    vcs_.for_each([&out](std::uint32_t label, const VcState&) {
+      out.push_back(atm::vc_from_label(label));
+    });
     return out;
   }
 
@@ -277,7 +281,10 @@ class RxPath {
   atm::CellFifo<atm::Cell> fifo_;
   BoardMemory board_;
   atm::HecReceiver hec_;
-  VcTable<VcState> vcs_;
+  // Reassembly state by atm::vc_label. The engine pays each lookup's
+  // probe displacement (Found::extra_probes) on top of the CAM-assist
+  // baseline, so lookup cost is measured, not configured (bench F5).
+  sim::FlatMap<std::uint32_t, VcState> vcs_;
   InterruptController interrupts_;
   DeliverFn deliver_;
   BufferAllocator alloc_;

@@ -48,6 +48,51 @@ TEST(Testbed, RunForAdvancesClock) {
   EXPECT_EQ(bed.now(), sim::milliseconds(5));
 }
 
+TEST(Testbed, HopAuditRunsEveryIdentityOnEveryHopKind) {
+  // One topology with every kind of wired hop: a station<->station
+  // pair, station->switch, a switch<->switch trunk and switch->station.
+  // Traffic crosses each hop, then the quiescent audit must run every
+  // hop identity on every hop and find the books balanced.
+  Testbed bed;
+  auto& a = bed.add_station({.name = "a"});
+  auto& b = bed.add_station({.name = "b"});
+  auto& src = bed.add_station({.name = "src"});
+  auto& dst = bed.add_station({.name = "dst"});
+  const net::SwitchConfig sw_cfg{.ports = 2, .queue_cells = 256,
+                                 .clp_threshold = 256};
+  auto& sw0 = bed.add_switch(sw_cfg);
+  auto& sw1 = bed.add_switch(sw_cfg);
+  bed.connect(a, b);
+  bed.connect_to_switch(src, sw0, 0);
+  bed.connect_trunk(sw0, 1, sw1, 0);
+  bed.connect_from_switch(sw1, 1, dst);
+  const atm::VcId vc{0, 40};
+  sw0.add_route(0, vc, 1, vc);
+  sw1.add_route(0, vc, 1, vc);
+  for (Station* s : {&a, &b, &src, &dst}) {
+    s->nic().open_vc(vc, aal::AalType::kAal5);
+  }
+  std::size_t delivered = 0;
+  const auto count = [&](aal::Bytes, const host::RxInfo&) { ++delivered; };
+  a.host().set_rx_handler(count);
+  b.host().set_rx_handler(count);
+  dst.host().set_rx_handler(count);
+  for (int i = 0; i < 3; ++i) {
+    a.host().send(vc, aal::AalType::kAal5, aal::make_pattern(2000, i));
+    b.host().send(vc, aal::AalType::kAal5, aal::make_pattern(1000, i));
+    src.host().send(vc, aal::AalType::kAal5, aal::make_pattern(3000, i));
+  }
+  bed.run_for(sim::milliseconds(20));
+  EXPECT_EQ(delivered, 9u);
+
+  const InvariantAuditor auditor = bed.audit(/*include_hops=*/true);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  // 4 stations x 11 + 2 switches x 7 station and switch identities;
+  // emission and delivery on each of the 6 hops, corruption accounting
+  // on the 3 hops into a station; 1 fabric path conservation.
+  EXPECT_EQ(auditor.checks_run(), 44u + 14u + 6u * 2u + 3u + 1u);
+}
+
 TEST(RunP2p, GreedyAal5ReachesLineRate) {
   P2pConfig cfg;
   net::SduSource::Config& traffic = cfg.flows.emplace_back().source;

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "atm/rm.hpp"
 #include "core/testbed.hpp"
 #include "host/sw_sar.hpp"
 
@@ -100,6 +101,38 @@ TEST(Host, CpuChargedPerOperation) {
             costs.tx_syscall + costs.tx_completion);
   EXPECT_EQ(b.host().cpu().instructions_retired(),
             costs.interrupt_entry + costs.rx_per_pdu);
+}
+
+TEST(Host, ClosedVcReportsAnUnthrottledRate) {
+  // Nic::close_vc resets the VC's TX rate factor without telling the
+  // host, so the host must read the factor from the NIC rather than
+  // keep its own copy of the last throttle it heard about.
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.congestion.enabled = true;
+  auto& a = bed.add_station(cfg);
+  auto& b = bed.add_station(cfg);
+  bed.connect(a, b);
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  // A backward RM cell with the congestion bit, as a sink sends on
+  // seeing EFCI marks, throttles a's VC.
+  atm::Cell rm;
+  rm.header.vc = kVc;
+  rm.header.pti = atm::Pti::kResourceMgmt;
+  rm.payload[0] = atm::kRmProtocolId;
+  atm::rm_set_flags(rm.payload.data(),
+                    atm::kRmFlagBackward | atm::kRmFlagCi);
+  atm::rm_set_explicit_rate(rm.payload.data(), atm::kRmErUnlimited);
+  b.nic().tx().inject_cell(rm);
+  bed.run_for(sim::microseconds(50));
+  ASSERT_LT(a.nic().vc_rate_factor(kVc), 1.0);
+  EXPECT_EQ(a.host().tx_rate_factor(kVc), a.nic().vc_rate_factor(kVc));
+  EXPECT_EQ(a.host().congestion_events(), 1u);
+
+  a.nic().close_vc(kVc);
+  EXPECT_EQ(a.nic().vc_rate_factor(kVc), 1.0);
+  EXPECT_EQ(a.host().tx_rate_factor(kVc), 1.0);
 }
 
 // --- host memory: what is pinned, what is touched ---------------------

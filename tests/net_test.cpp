@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
 #include "aal/aal5.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
@@ -226,6 +230,143 @@ TEST(Switch, QueueDepthStatsTracked) {
   for (int i = 0; i < 32; ++i) sw.receive(0, wire_on({0, 1}));
   sim.run_until(sim::milliseconds(1));
   EXPECT_GT(sw.max_queue_depth(1), 10.0);
+}
+
+// Served-order differential: random arrivals from several weighted VCs
+// onto one output port, against a reference scheduler written with
+// plain containers. The switch serves a cell the moment an idle port
+// receives one, then one per slot while cells remain. Arrivals are all
+// scheduled before the run, so one that lands on a service instant is
+// queued before that service (the kernel breaks time ties FIFO).
+struct Arrival {
+  sim::Time at;
+  std::size_t vc;  // index into the test's VCs
+};
+
+std::vector<std::size_t> reference_order(
+    const std::vector<Arrival>& arrivals,
+    const std::vector<std::uint32_t>& weights, SwitchScheduler scheduler,
+    sim::Time slot) {
+  std::deque<std::size_t> fifo;                          // kFifo: VC per cell
+  std::vector<std::size_t> backlog(weights.size(), 0);   // per-VC cells
+  std::deque<std::size_t> active;                        // VCs with cells
+  std::uint32_t grant_left = 0;  // head VC's remaining DWRR grant
+  std::vector<std::size_t> served;
+  const auto enqueue = [&](std::size_t vc) {
+    fifo.push_back(vc);
+    if (backlog[vc]++ == 0) active.push_back(vc);
+  };
+  const auto pick = [&] {
+    if (scheduler == SwitchScheduler::kFifo) {
+      served.push_back(fifo.front());
+      fifo.pop_front();
+      return;
+    }
+    const std::size_t vc = active.front();
+    served.push_back(vc);
+    --backlog[vc];
+    if (scheduler == SwitchScheduler::kRoundRobin) {
+      active.pop_front();
+      if (backlog[vc] > 0) active.push_back(vc);
+      return;
+    }
+    // DWRR: the head VC keeps the turn for `weight` cells, or until it
+    // drains (then it leaves the ring and forfeits the rest).
+    if (grant_left == 0) grant_left = weights[vc];
+    --grant_left;
+    if (backlog[vc] == 0) {
+      active.pop_front();
+      grant_left = 0;
+    } else if (grant_left == 0) {
+      active.pop_front();
+      active.push_back(vc);
+    }
+  };
+  const auto queued = [&] {
+    return scheduler == SwitchScheduler::kFifo ? !fifo.empty()
+                                               : !active.empty();
+  };
+  bool busy = false;
+  sim::Time next_service = 0;
+  std::size_t i = 0;
+  while (i < arrivals.size() || busy) {
+    if (i < arrivals.size() && (!busy || arrivals[i].at <= next_service)) {
+      enqueue(arrivals[i].vc);
+      if (!busy) {
+        busy = true;
+        next_service = arrivals[i].at + slot;
+        pick();
+      }
+      ++i;
+      continue;
+    }
+    if (!queued()) {
+      busy = false;
+      continue;
+    }
+    pick();
+    next_service += slot;
+  }
+  return served;
+}
+
+TEST(Switch, ServedOrderMatchesReferenceModel) {
+  constexpr std::size_t kVcs = 5;
+  const sim::Time slot = atm::sts3c().cell_slot();
+  int differing = 0;
+  for (std::uint64_t trial = 0; trial < 300; ++trial) {
+    sim::Rng rng(0x5C4ED + trial);
+    std::vector<std::uint32_t> weights(kVcs);
+    for (auto& w : weights) {
+      w = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+    }
+    // Half-slot arrival grid: many arrivals land on a service instant,
+    // many between two; bursts share an instant.
+    std::vector<Arrival> arrivals(rng.uniform_int(1, 120));
+    for (auto& a : arrivals) {
+      a.at = static_cast<sim::Time>(rng.uniform_int(0, 160)) * slot / 2;
+      a.vc = rng.uniform_int(0, kVcs - 1);
+    }
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const Arrival& x, const Arrival& y) {
+                       return x.at < y.at;
+                     });
+    for (const SwitchScheduler scheduler :
+         {SwitchScheduler::kFifo, SwitchScheduler::kRoundRobin,
+          SwitchScheduler::kDwrr}) {
+      sim::Simulator sim;
+      Switch sw(sim, {.ports = 3, .queue_cells = 512, .clp_threshold = 512,
+                      .scheduler = scheduler});
+      Link out(sim, 0);
+      sw.attach_output(2, out);
+      // VC v enters on port v % 2 as 0/(32 + v) and leaves as 0/(64 + v).
+      for (std::size_t v = 0; v < kVcs; ++v) {
+        sw.add_route(v % 2, {0, static_cast<std::uint16_t>(32 + v)}, 2,
+                     {0, static_cast<std::uint16_t>(64 + v)}, weights[v]);
+      }
+      std::vector<std::size_t> got;
+      out.set_sink([&](const WireCell& w) {
+        const atm::CellHeader h = atm::decode_header(
+            std::span<const std::uint8_t, 4>(w.bytes.data(), 4),
+            atm::HeaderFormat::kUni);
+        got.push_back(h.vc.vci - 64u);
+      });
+      for (const Arrival& a : arrivals) {
+        sim.at(a.at, [&sw, v = a.vc] {
+          sw.receive(v % 2, wire_on({0, static_cast<std::uint16_t>(32 + v)}));
+        });
+      }
+      sim.run();
+      const std::vector<std::size_t> want =
+          reference_order(arrivals, weights, scheduler, slot);
+      if (got != want && ++differing <= 3) {
+        ADD_FAILURE() << "trial " << trial << " scheduler "
+                      << static_cast<int>(scheduler) << ": served "
+                      << got.size() << " cells, reference " << want.size();
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0);
 }
 
 // --- traffic ---------------------------------------------------------

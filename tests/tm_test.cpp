@@ -252,14 +252,17 @@ void run_purge_test(net::SwitchScheduler sched) {
   for (int i = 0; i < 10; ++i) f.sw.receive(0, wire(raw_cell(kVcA)));
   for (int i = 0; i < 10; ++i) f.sw.receive(1, wire(raw_cell(kVcB)));
   // 19 resident (cell 0 already committed); A holds 9 of them and is
-  // at the front of the active ring, mid-grant under DWRR.
+  // at the front of the active ring, mid-grant under DWRR. Under kFifo
+  // all 19 sit in the port's shared queue, which no route owns.
   ASSERT_EQ(f.sw.cells_queued(), 19u);
   ASSERT_TRUE(f.sw.remove_route(0, kVcA));
   // The close purged A's residents — accounted, not leaked — and
-  // retired its ring ticket with the record.
-  EXPECT_EQ(f.sw.cells_purged_on_close(), 9u);
-  EXPECT_EQ(f.sw.cells_dropped_overflow(), 9u);
-  EXPECT_EQ(f.sw.cells_queued(), 10u);
+  // retired its ring ticket with the record; kFifo's stay queued.
+  const std::size_t purged =
+      sched == net::SwitchScheduler::kFifo ? 0u : 9u;
+  EXPECT_EQ(f.sw.cells_purged_on_close(), purged);
+  EXPECT_EQ(f.sw.cells_dropped_overflow(), purged);
+  EXPECT_EQ(f.sw.cells_queued(), 19u - purged);
   f.expect_queue_books_balanced();  // conservation holds mid-flight
 
   // Late cells on the closed VC are unroutable, and the scheduler
@@ -267,7 +270,7 @@ void run_purge_test(net::SwitchScheduler sched) {
   f.sw.receive(0, wire(raw_cell(kVcA)));
   EXPECT_EQ(f.sw.cells_unroutable(), 1u);
   f.sim.run_until(sim::milliseconds(1));
-  EXPECT_EQ(f.forwarded.size(), 11u);  // A's head cell + all of B
+  EXPECT_EQ(f.forwarded.size(), 20u - purged);  // A's head cell + all of B
   EXPECT_EQ(f.sw.cells_queued(), 0u);
   f.expect_queue_books_balanced();
 }
@@ -278,6 +281,10 @@ TEST(CloseVc, PurgesResidentQueueUnderRoundRobin) {
 
 TEST(CloseVc, PurgesResidentQueueUnderDwrr) {
   run_purge_test(net::SwitchScheduler::kDwrr);
+}
+
+TEST(CloseVc, KeepsTheSharedQueueUnderFifo) {
+  run_purge_test(net::SwitchScheduler::kFifo);
 }
 
 // --- control-cell exemption ---------------------------------------------
