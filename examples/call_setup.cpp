@@ -109,5 +109,10 @@ int main() {
               static_cast<unsigned long long>(net.calls_routed()),
               static_cast<unsigned long long>(net.calls_refused()),
               net.active_calls());
-  return received == 20 && net.active_calls() == 0 ? 0 : 1;
+  // Carol's busy signal is her own RELEASE; only the wrong number is a
+  // refusal by the network.
+  return received == 20 && net.calls_routed() == 1 &&
+                 net.calls_refused() == 1 && net.active_calls() == 0
+             ? 0
+             : 1;
 }

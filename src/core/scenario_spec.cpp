@@ -258,6 +258,7 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
   out = ScenarioSpec{};
   out.traffic.clear();
   bool has_switches = false;
+  int excess_source_line = 0;  // the first source past the switched limit
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -351,6 +352,9 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
       std::string serr;
       if (!parse_source(val, t, serr)) return fail(serr);
       out.traffic.push_back(t);
+      if (out.traffic.size() == kMaxSwitchedSources + 1) {
+        excess_source_line = lineno;
+      }
     } else if (key == "loss_rate") {
       ok = parse_nonneg(val, out.fault.cell_loss_rate) &&
            out.fault.cell_loss_rate < 1.0;
@@ -393,6 +397,13 @@ bool parse_scenario(const std::string& text, ScenarioSpec& out,
   if (out.fault.flap_period > 0 &&
       out.fault.flap_down >= out.fault.flap_period) {
     error = "flap_down_us must be below flap_period_us";
+    return false;
+  }
+  if (excess_source_line > 0 &&
+      out.topology != ScenarioSpec::Topology::kP2p) {
+    error = "line " + std::to_string(excess_source_line) +
+            ": source: a switched topology takes at most " +
+            std::to_string(kMaxSwitchedSources) + " sources";
     return false;
   }
   // to_text() writes switches only for a line, so it would not survive.

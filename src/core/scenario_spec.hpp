@@ -95,6 +95,12 @@ struct AcceptanceSpec {
   bool ablation = false;
 };
 
+/// Most `source` lines a switched topology (mux, line, triangle)
+/// takes. Switch 0 gives each source, the agent and up to two trunks a
+/// port of their own, and a switch route label carries the port in 8
+/// bits: 256 ports less the agent and the triangle's two trunks.
+inline constexpr std::size_t kMaxSwitchedSources = 253;
+
 struct ScenarioSpec {
   enum class Topology : std::uint8_t { kP2p, kMux, kLine, kTriangle };
   enum class Scheduler : std::uint8_t { kFifo, kRoundRobin, kDwrr };

@@ -155,7 +155,8 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   if (want_digest) bed.tracer().collect_into(trace);
 
   // Port plan: switch 0 carries the sources (0..n-1), the agent (n)
-  // and its trunk(s) (n+1, n+2); the sink lives on the far switch.
+  // and its trunk(s) (n+1, n+2); the sink lives on the far switch. The
+  // parser caps n at kMaxSwitchedSources so every port fits the label.
   std::vector<net::Switch*> sws;
   for (std::size_t s = 0; s < nsw; ++s) {
     std::size_t ports;

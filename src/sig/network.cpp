@@ -85,11 +85,10 @@ std::size_t SignalingNetwork::add_trunk(std::size_t sw_a, std::size_t port_a,
                                            *switches_[sw_b], port_b, loss,
                                            propagation);
   const std::size_t id = trunks_.size();
-  trunks_.push_back(Trunk{sw_a, port_a, sw_b, port_b, ab, ba});
+  trunks_.push_back(Trunk{sw_a, port_a, sw_b, port_b, ab, ba, new_pool()});
   const auto watch = [this, id](bool) { on_trunk_state(id); };
   ab->add_state_observer(watch);
   ba->add_state_observer(watch);
-  next_vci_[trunk_key(id)] = config_.first_data_vci;
   return id;
 }
 
@@ -150,17 +149,12 @@ std::optional<std::vector<std::size_t>> SignalingNetwork::find_path(
   return std::nullopt;
 }
 
-bool SignalingNetwork::path_has_down_trunk(
+std::optional<std::size_t> SignalingNetwork::first_down_trunk(
     const std::vector<std::size_t>& path) const {
   for (const std::size_t t : path) {
-    if (trunks_[t].down) return true;
+    if (trunks_[t].down) return t;
   }
-  return false;
-}
-
-bool SignalingNetwork::path_all_up(
-    const std::vector<std::size_t>& path) const {
-  return !path_has_down_trunk(path);
+  return std::nullopt;
 }
 
 // --- attachment -------------------------------------------------------
@@ -181,14 +175,12 @@ CallControl& SignalingNetwork::attach(core::Station& station, std::size_t sw,
   bed_.connect_from_switch(*switches_[sw], port, station);
 
   const std::size_t ep = endpoints_.size();
-  Endpoint e;
-  e.sw = sw;
-  e.port = port;
-  e.party = party;
-  e.sig_path = *sig_path;
-  e.sig_primary = *sig_path;
-  endpoints_.push_back(std::move(e));
-  program_sig_relay(ep);
+  Endpoint& e = endpoints_.emplace_back(Endpoint{
+      sw, port, party, new_pool(),
+      Circuit{*sig_path, *sig_path,
+              std::vector<std::uint16_t>(sig_path->size(), sig_hop_vc(ep).vci),
+              {}}});
+  program(e.relay, end_of(e, kSignalingVc), agent_end(ep));
 
   agent_->nic().open_vc(agent_rx_vc(ep), aal::AalType::kAal5);
   agent_->host().set_vc_handler(
@@ -196,56 +188,12 @@ CallControl& SignalingNetwork::attach(core::Station& station, std::size_t sw,
         on_frame(ep, std::move(sdu));
       });
 
-  next_vci_[ep_key(ep)] = config_.first_data_vci;
   controls_.push_back(std::make_unique<CallControl>(
       station, party, config_.endpoint, tracer_,
       sim::MetricScope(bed_.metrics(),
                        "sig.endpoint." + std::to_string(party)),
       config_.fault_seed * 7919 + party));
   return *controls_.back();
-}
-
-void SignalingNetwork::program_sig_relay(std::size_t ep) {
-  Endpoint& e = endpoints_[ep];
-  e.sig_routes.clear();
-  const std::vector<atm::VcId> hops(e.sig_path.size(), sig_hop_vc(ep));
-  // Endpoint -> agent.
-  program_direction(e.sw, e.port, kSignalingVc, agent_port_,
-                    agent_rx_vc(ep), e.sig_path, hops, 1, false,
-                    e.sig_routes);
-  // Agent -> endpoint (same trunks, walked backwards).
-  std::vector<std::size_t> rev(e.sig_path.rbegin(), e.sig_path.rend());
-  program_direction(agent_sw_, agent_port_, agent_tx_vc(ep), e.port,
-                    kSignalingVc, rev, std::vector<atm::VcId>(rev.size(),
-                                                              sig_hop_vc(ep)),
-                    1, false, e.sig_routes);
-}
-
-void SignalingNetwork::remove_sig_relay(std::size_t ep) {
-  Endpoint& e = endpoints_[ep];
-  for (const RouteKey& rk : e.sig_routes) {
-    switches_[rk.sw]->remove_route(rk.in_port, rk.vc);
-  }
-  e.sig_routes.clear();
-}
-
-bool SignalingNetwork::reroute_sig(std::size_t ep, bool to_primary) {
-  Endpoint& e = endpoints_[ep];
-  std::vector<std::size_t> target;
-  if (to_primary) {
-    target = e.sig_primary;
-  } else {
-    const auto found = find_path(e.sw, agent_sw_, /*avoid_down=*/true);
-    if (!found) return false;  // isolated until a trunk recovers
-    target = *found;
-  }
-  if (target == e.sig_path) return true;
-  remove_sig_relay(ep);
-  e.sig_path = std::move(target);
-  program_sig_relay(ep);
-  e.sig_on_protection = e.sig_path != e.sig_primary;
-  sig_reroutes_.add();
-  return true;
 }
 
 const SignalingNetwork::Endpoint* SignalingNetwork::endpoint_by_party(
@@ -260,30 +208,65 @@ std::size_t SignalingNetwork::endpoint_index(const Endpoint* e) const {
   return static_cast<std::size_t>(e - endpoints_.data());
 }
 
-// --- VCI allocators ---------------------------------------------------
+// --- VCI pools --------------------------------------------------------
 
-std::optional<std::uint16_t> SignalingNetwork::allocate_vci(
-    std::uint32_t key) {
-  auto& free = free_vcis_[key];
+std::optional<std::uint16_t> SignalingNetwork::VciPool::allocate() {
   if (!free.empty()) {
     const std::uint16_t vci = free.back();
     free.pop_back();
     return vci;
   }
-  auto& next = next_vci_[key];
-  if (next == 0) next = config_.first_data_vci;
-  if (next >= config_.first_data_vci + config_.max_vcs_per_port) {
-    return std::nullopt;
-  }
+  if (next >= end) return std::nullopt;
   return next++;
 }
 
-void SignalingNetwork::free_vci(std::uint32_t key, std::uint16_t vci) {
-  auto& free = free_vcis_[key];
+void SignalingNetwork::VciPool::release(std::uint16_t vci) {
   // Reclamation paths can race the normal handshake; freeing twice
   // would hand the same VCI to two calls.
   if (std::find(free.begin(), free.end(), vci) != free.end()) return;
   free.push_back(vci);
+}
+
+std::size_t SignalingNetwork::VciPool::stranded(
+    const std::vector<std::uint16_t>& held) const {
+  std::size_t n = 0;
+  for (std::uint16_t vci = first; vci < next; ++vci) {
+    if (std::find(free.begin(), free.end(), vci) == free.end() &&
+        std::find(held.begin(), held.end(), vci) == held.end()) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+bool SignalingNetwork::allocate_hop_vcis(const std::vector<std::size_t>& path,
+                                         std::vector<std::uint16_t>& vcis) {
+  vcis.clear();
+  for (const std::size_t t : path) {
+    const auto v = trunks_[t].vcis.allocate();
+    if (!v) {
+      release_hop_vcis(path, vcis);
+      vcis.clear();
+      return false;
+    }
+    vcis.push_back(*v);
+  }
+  return true;
+}
+
+void SignalingNetwork::release_hop_vcis(
+    const std::vector<std::size_t>& path,
+    const std::vector<std::uint16_t>& vcis) {
+  for (std::size_t i = 0; i < vcis.size(); ++i) {
+    trunks_[path[i]].vcis.release(vcis[i]);
+  }
+}
+
+void SignalingNetwork::free_call(const AgentCall& call) {
+  if (call.cac_committed) cac_apply(call.cac_keys, -call.pcr);
+  endpoints_[call.caller_ep].vcis.release(call.caller_vc.vci);
+  endpoints_[call.callee_ep].vcis.release(call.callee_vc.vci);
+  release_hop_vcis(call.circuit.path, call.circuit.hop_vcis);
 }
 
 // --- admission control ------------------------------------------------
@@ -339,12 +322,6 @@ void SignalingNetwork::cac_apply(const std::vector<std::size_t>& keys,
     slot += pcr;
     if (slot < 1e-9) slot = 0.0;  // swallow float drift on release
   }
-}
-
-void SignalingNetwork::cac_release(AgentCall& call) {
-  if (!call.cac_committed) return;
-  cac_apply(call.cac_keys, -call.pcr);
-  call.cac_committed = false;
 }
 
 // --- messaging --------------------------------------------------------
@@ -474,12 +451,12 @@ void SignalingNetwork::handle_setup(std::size_t from_ep, const Message& m) {
     refuse(from_ep, m, Cause::kNoRouteToDestination);
     return;
   }
-  call.path = *path;
-  call.primary_path = *path;
+  call.circuit.path = *path;
+  call.circuit.primary = *path;
 
   // Admission control precedes VC allocation, so a refusal leaves zero
   // agent state: the endpoint can retry the same reference cleanly.
-  const auto keys = path_cac_keys(call, call.path);
+  const auto keys = path_cac_keys(call, *path);
   if (!cac_admits_keys(keys, call.pcr)) {
     calls_refused_cac_.add();
     trace(sim::TraceEventId::kSigCacRefusal,
@@ -489,24 +466,14 @@ void SignalingNetwork::handle_setup(std::size_t from_ep, const Message& m) {
     return;
   }
 
-  const auto caller_vci = allocate_vci(ep_key(from_ep));
-  const auto callee_vci = allocate_vci(ep_key(callee_ep));
-  bool trunks_ok = caller_vci && callee_vci;
-  for (const std::size_t t : call.path) {
-    if (!trunks_ok) break;
-    const auto tv = allocate_vci(trunk_key(t));
-    if (!tv) {
-      trunks_ok = false;
-      break;
-    }
-    call.trunk_vcis.push_back(*tv);
-  }
-  if (!trunks_ok) {
-    if (caller_vci) free_vci(ep_key(from_ep), *caller_vci);
-    if (callee_vci) free_vci(ep_key(callee_ep), *callee_vci);
-    for (std::size_t i = 0; i < call.trunk_vcis.size(); ++i) {
-      free_vci(trunk_key(call.path[i]), call.trunk_vcis[i]);
-    }
+  VciPool& caller_pool = endpoints_[from_ep].vcis;
+  VciPool& callee_pool = endpoints_[callee_ep].vcis;
+  const auto caller_vci = caller_pool.allocate();
+  const auto callee_vci = callee_pool.allocate();
+  if (!caller_vci || !callee_vci ||
+      !allocate_hop_vcis(*path, call.circuit.hop_vcis)) {
+    if (caller_vci) caller_pool.release(*caller_vci);
+    if (callee_vci) callee_pool.release(*callee_vci);
     refuse(from_ep, m, Cause::kNetworkOutOfVcs);
     return;
   }
@@ -527,46 +494,47 @@ void SignalingNetwork::handle_setup(std::size_t from_ep, const Message& m) {
 
 // --- route programming ------------------------------------------------
 
-void SignalingNetwork::program_direction(
-    std::size_t src_sw, std::size_t src_port, atm::VcId src_vc,
-    std::size_t dst_port, atm::VcId dst_vc,
-    const std::vector<std::size_t>& path,
-    const std::vector<atm::VcId>& hop_vcs, std::uint16_t weight, bool abr,
-    std::vector<RouteKey>& routes) {
-  std::size_t sw = src_sw;
-  std::size_t in_port = src_port;
-  atm::VcId in_vc = src_vc;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    std::size_t tx, peer_sw, peer_port;
-    trunk_exit(path[i], sw, tx, peer_sw, peer_port);
-    switches_[sw]->add_route(in_port, in_vc, tx, hop_vcs[i], weight, abr);
-    routes.push_back(RouteKey{sw, in_port, in_vc});
-    sw = peer_sw;
-    in_port = peer_port;
-    in_vc = hop_vcs[i];
+void SignalingNetwork::program(Circuit& c, const CircuitEnd& a,
+                               const CircuitEnd& b, std::uint16_t weight,
+                               bool abr) {
+  // One simplex direction, hop by hop; b -> a walks the same trunks and
+  // hop VCIs backwards.
+  const auto direction = [&](const CircuitEnd& from, const CircuitEnd& to,
+                             bool backwards) {
+    std::size_t sw = from.sw;
+    std::size_t in_port = from.port;
+    atm::VcId in_vc = from.tx;
+    const std::size_t n = c.path.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = backwards ? n - 1 - k : k;
+      const atm::VcId hop_vc{0, c.hop_vcis[i]};
+      std::size_t tx, peer_sw, peer_port;
+      trunk_exit(c.path[i], sw, tx, peer_sw, peer_port);
+      switches_[sw]->add_route(in_port, in_vc, tx, hop_vc, weight, abr);
+      c.routes.push_back(RouteKey{sw, in_port, in_vc});
+      sw = peer_sw;
+      in_port = peer_port;
+      in_vc = hop_vc;
+    }
+    switches_[sw]->add_route(in_port, in_vc, to.port, to.rx, weight, abr);
+    c.routes.push_back(RouteKey{sw, in_port, in_vc});
+  };
+  direction(a, b, /*backwards=*/false);
+  direction(b, a, /*backwards=*/true);
+}
+
+void SignalingNetwork::unprogram(Circuit& c) {
+  for (const RouteKey& rk : c.routes) {
+    switches_[rk.sw]->remove_route(rk.in_port, rk.vc);
   }
-  switches_[sw]->add_route(in_port, in_vc, dst_port, dst_vc, weight, abr);
-  routes.push_back(RouteKey{sw, in_port, in_vc});
+  c.routes.clear();
 }
 
 void SignalingNetwork::program_routes(AgentCall& call) {
   const Endpoint& caller = endpoints_[call.caller_ep];
   const Endpoint& callee = endpoints_[call.callee_ep];
-  call.routes.clear();
-  std::vector<atm::VcId> fwd_vcs;
-  fwd_vcs.reserve(call.trunk_vcis.size());
-  for (const std::uint16_t v : call.trunk_vcis) {
-    fwd_vcs.push_back(atm::VcId{0, v});
-  }
-  program_direction(caller.sw, caller.port, call.caller_vc, callee.port,
-                    call.callee_vc, call.path, fwd_vcs, call.weight,
-                    call.abr, call.routes);
-  const std::vector<std::size_t> rev_path(call.path.rbegin(),
-                                          call.path.rend());
-  const std::vector<atm::VcId> rev_vcs(fwd_vcs.rbegin(), fwd_vcs.rend());
-  program_direction(callee.sw, callee.port, call.callee_vc, caller.port,
-                    call.caller_vc, rev_path, rev_vcs, call.weight, call.abr,
-                    call.routes);
+  program(call.circuit, end_of(caller, call.caller_vc),
+          end_of(callee, call.callee_vc), call.weight, call.abr);
   // UPC lives at the two ingress switches only: inside the fabric the
   // stream is already conformant (and trunk hops must not re-police a
   // contract the edge already enforced).
@@ -593,13 +561,6 @@ void SignalingNetwork::program_routes(AgentCall& call) {
   }
 }
 
-void SignalingNetwork::remove_routes(AgentCall& call) {
-  for (const RouteKey& rk : call.routes) {
-    switches_[rk.sw]->remove_route(rk.in_port, rk.vc);
-  }
-  call.routes.clear();
-}
-
 void SignalingNetwork::handle_connect(const Message& m) {
   auto it = calls_.find(m.call_id);
   if (it == calls_.end()) return;
@@ -608,15 +569,8 @@ void SignalingNetwork::handle_connect(const Message& m) {
     // A trunk on the admitted path may have died between SETUP and
     // CONNECT; repath before programming rather than installing hops
     // into a black hole.
-    if (path_has_down_trunk(call.path)) {
-      std::size_t trigger = 0;
-      for (const std::size_t t : call.path) {
-        if (trunks_[t].down) {
-          trigger = t;
-          break;
-        }
-      }
-      reroute_call(m.call_id, /*to_primary=*/false, trigger);
+    if (const auto down = first_down_trunk(call.circuit.path)) {
+      reroute_call(m.call_id, /*to_primary=*/false, *down);
     }
     program_routes(call);
     call.routed = true;
@@ -646,7 +600,7 @@ void SignalingNetwork::handle_release(std::size_t from_ep,
   }
   AgentCall& call = it->second;
   if (call.routed) {
-    remove_routes(call);
+    unprogram(call.circuit);
     call.routed = false;
   }
   // Relay to the peer leg; on its RELEASE COMPLETE we finish cleanup.
@@ -660,12 +614,7 @@ void SignalingNetwork::handle_release_complete(const Message& m) {
   if (it == calls_.end()) return;
   AgentCall call = std::move(it->second);
   calls_.erase(it);
-  cac_release(call);
-  free_vci(ep_key(call.caller_ep), call.caller_vc.vci);
-  free_vci(ep_key(call.callee_ep), call.callee_vc.vci);
-  for (std::size_t i = 0; i < call.path.size(); ++i) {
-    free_vci(trunk_key(call.path[i]), call.trunk_vcis[i]);
-  }
+  free_call(call);
   // Forward the completion to the release initiator: it is the leg that
   // has not answered with RELEASE COMPLETE itself. The initiator's
   // address rode in the message.
@@ -701,40 +650,52 @@ void SignalingNetwork::on_trunk_state(std::size_t trunk) {
   }
 }
 
-bool SignalingNetwork::reroute_call(std::uint32_t call_id, bool to_primary,
+SignalingNetwork::Target SignalingNetwork::protection_target(
+    const Circuit& c, bool to_primary, std::size_t from_sw,
+    std::size_t to_sw, std::vector<std::size_t>& target) const {
+  if (to_primary) {
+    target = c.primary;
+  } else {
+    auto found = find_path(from_sw, to_sw, /*avoid_down=*/true);
+    if (!found) return Target::kUnreachable;
+    target = std::move(*found);
+  }
+  return target == c.path ? Target::kUnchanged : Target::kFound;
+}
+
+void SignalingNetwork::reroute_sig(std::size_t ep, bool to_primary) {
+  Endpoint& e = endpoints_[ep];
+  std::vector<std::size_t> target;
+  // An unreachable relay stays isolated until a trunk recovers.
+  if (protection_target(e.relay, to_primary, e.sw, agent_sw_, target) !=
+      Target::kFound) {
+    return;
+  }
+  unprogram(e.relay);
+  e.relay.hop_vcis.assign(target.size(), sig_hop_vc(ep).vci);
+  e.relay.path = std::move(target);
+  program(e.relay, end_of(e, kSignalingVc), agent_end(ep));
+  sig_reroutes_.add();
+}
+
+void SignalingNetwork::reroute_call(std::uint32_t call_id, bool to_primary,
                                     std::size_t trigger) {
   AgentCall& call = calls_.at(call_id);
-  const Endpoint& caller = endpoints_[call.caller_ep];
-  const Endpoint& callee = endpoints_[call.callee_ep];
+  Circuit& c = call.circuit;
   std::vector<std::size_t> target;
-  if (to_primary) {
-    target = call.primary_path;
-  } else {
-    const auto found =
-        find_path(caller.sw, callee.sw, /*avoid_down=*/true);
-    if (!found) {
-      reroutes_failed_.add();
-      call.reroute_failed_epoch = fabric_epoch_;
-      return false;
-    }
-    target = *found;
-  }
-  if (target == call.path) return true;
-
+  const Target found =
+      protection_target(c, to_primary, endpoints_[call.caller_ep].sw,
+                        endpoints_[call.callee_ep].sw, target);
+  if (found == Target::kUnchanged) return;
+  const auto refused = [this, &call] {
+    reroutes_failed_.add();
+    call.reroute_failed_epoch = fabric_epoch_;
+  };
   // New trunk VCIs first — bail with nothing disturbed on exhaustion.
   std::vector<std::uint16_t> new_vcis;
-  new_vcis.reserve(target.size());
-  for (const std::size_t t : target) {
-    const auto v = allocate_vci(trunk_key(t));
-    if (!v) {
-      for (std::size_t i = 0; i < new_vcis.size(); ++i) {
-        free_vci(trunk_key(target[i]), new_vcis[i]);
-      }
-      reroutes_failed_.add();
-      call.reroute_failed_epoch = fabric_epoch_;
-      return false;
-    }
-    new_vcis.push_back(*v);
+  if (found == Target::kUnreachable || !allocate_hop_vcis(target, new_vcis)) {
+    refused();
+    return;
   }
   // CAC on the new path: release our own commitment, test, recommit
   // whichever path wins.
@@ -743,24 +704,18 @@ bool SignalingNetwork::reroute_call(std::uint32_t call_id, bool to_primary,
     cac_apply(call.cac_keys, -call.pcr);
     if (!cac_admits_keys(new_keys, call.pcr)) {
       cac_apply(call.cac_keys, call.pcr);
-      for (std::size_t i = 0; i < new_vcis.size(); ++i) {
-        free_vci(trunk_key(target[i]), new_vcis[i]);
-      }
-      reroutes_failed_.add();
-      call.reroute_failed_epoch = fabric_epoch_;
-      return false;
+      release_hop_vcis(target, new_vcis);
+      refused();
+      return;
     }
     cac_apply(new_keys, call.pcr);
     call.cac_keys = new_keys;
   }
-  if (call.routed) remove_routes(call);
-  for (std::size_t i = 0; i < call.path.size(); ++i) {
-    free_vci(trunk_key(call.path[i]), call.trunk_vcis[i]);
-  }
-  call.path = std::move(target);
-  call.trunk_vcis = std::move(new_vcis);
+  if (call.routed) unprogram(c);
+  release_hop_vcis(c.path, c.hop_vcis);
+  c.path = std::move(target);
+  c.hop_vcis = std::move(new_vcis);
   if (call.routed) program_routes(call);
-  call.on_protection = call.path != call.primary_path;
   if (to_primary) {
     reverts_.add();
   } else {
@@ -768,14 +723,13 @@ bool SignalingNetwork::reroute_call(std::uint32_t call_id, bool to_primary,
   }
   trace(sim::TraceEventId::kSigReroute, to_primary ? 0 : 1,
         static_cast<std::uint32_t>(trigger), call_id);
-  return true;
 }
 
 void SignalingNetwork::protect_sweep() {
   // Signalling relays first: control reachability is what lets the rest
   // of the protocol (release, audit, defect reports) keep working.
   for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-    if (path_has_down_trunk(endpoints_[ep].sig_path)) {
+    if (first_down_trunk(endpoints_[ep].relay.path)) {
       reroute_sig(ep, /*to_primary=*/false);
     }
   }
@@ -783,7 +737,7 @@ void SignalingNetwork::protect_sweep() {
   // effort; call id breaks ties so the order is deterministic.
   std::vector<std::uint32_t> ids;
   for (const auto& [id, call] : calls_) {
-    if (!call.routed || !path_has_down_trunk(call.path)) continue;
+    if (!call.routed || !first_down_trunk(call.circuit.path)) continue;
     if (call.reroute_failed_epoch == fabric_epoch_) continue;
     ids.push_back(id);
   }
@@ -794,42 +748,36 @@ void SignalingNetwork::protect_sweep() {
            std::make_tuple(!cb.cac_committed, -cb.pcr, b);
   });
   for (const std::uint32_t id : ids) {
-    std::size_t trigger = 0;
-    for (const std::size_t t : calls_.at(id).path) {
-      if (trunks_[t].down) {
-        trigger = t;
-        break;
-      }
-    }
-    reroute_call(id, /*to_primary=*/false, trigger);
+    reroute_call(id, /*to_primary=*/false,
+                 first_down_trunk(calls_.at(id).circuit.path).value_or(0));
   }
 }
 
 void SignalingNetwork::revert_sweep() {
   for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-    if (endpoints_[ep].sig_on_protection &&
-        path_all_up(endpoints_[ep].sig_primary)) {
+    const Circuit& relay = endpoints_[ep].relay;
+    if (relay.on_protection() && !first_down_trunk(relay.primary)) {
       reroute_sig(ep, /*to_primary=*/true);
     }
   }
   std::vector<std::uint32_t> ids;
   for (const auto& [id, call] : calls_) {
-    if (call.on_protection && path_all_up(call.primary_path)) {
+    if (call.circuit.on_protection() &&
+        !first_down_trunk(call.circuit.primary)) {
       ids.push_back(id);
     }
   }
   std::sort(ids.begin(), ids.end());
   for (const std::uint32_t id : ids) {
-    const std::size_t trigger =
-        calls_.at(id).primary_path.empty() ? 0 : calls_.at(id).primary_path[0];
-    reroute_call(id, /*to_primary=*/true, trigger);
+    const std::vector<std::size_t>& primary = calls_.at(id).circuit.primary;
+    reroute_call(id, /*to_primary=*/true, primary.empty() ? 0 : primary[0]);
   }
 }
 
 std::size_t SignalingNetwork::calls_on_protection() const {
   std::size_t n = 0;
   for (const auto& [id, call] : calls_) {
-    if (call.on_protection) ++n;
+    if (call.circuit.on_protection()) ++n;
   }
   return n;
 }
@@ -926,17 +874,12 @@ void SignalingNetwork::reclaim_call(std::uint32_t call_id, Cause cause) {
   if (it == calls_.end()) return;
   AgentCall call = std::move(it->second);
   calls_.erase(it);
-  cac_release(call);
   if (call.routed) {
-    routes_reclaimed_.add(call.routes.size());
-    remove_routes(call);
+    routes_reclaimed_.add(call.circuit.routes.size());
+    unprogram(call.circuit);
   }
-  free_vci(ep_key(call.caller_ep), call.caller_vc.vci);
-  free_vci(ep_key(call.callee_ep), call.callee_vc.vci);
-  for (std::size_t i = 0; i < call.path.size(); ++i) {
-    free_vci(trunk_key(call.path[i]), call.trunk_vcis[i]);
-  }
-  vcis_reclaimed_.add(2 + call.path.size());
+  free_call(call);
+  vcis_reclaimed_.add(2 + call.circuit.path.size());
   calls_reclaimed_.add();
   trace(sim::TraceEventId::kSigVcReclaimed,
         static_cast<std::uint32_t>(call.caller_ep), call.caller_vc.vci,
@@ -954,36 +897,39 @@ void SignalingNetwork::reclaim_call(std::uint32_t call_id, Cause cause) {
   send_to_endpoint(call.callee_ep, rel);
 }
 
-bool SignalingNetwork::route_owned(std::size_t sw, std::size_t in_port,
-                                   atm::VcId vc) const {
+std::vector<SignalingNetwork::RouteKey> SignalingNetwork::stale_routes()
+    const {
+  // Ownership is collected once per sweep. Signalling relays (endpoint
+  // and trunk hops alike) sit below first_data_vci and are never stale.
+  std::vector<RouteKey> owned;
   for (const auto& [id, call] : calls_) {
-    for (const RouteKey& rk : call.routes) {
-      if (rk.sw == sw && rk.in_port == in_port && rk.vc == vc) return true;
-    }
+    owned.insert(owned.end(), call.circuit.routes.begin(),
+                 call.circuit.routes.end());
   }
-  return false;
+  std::sort(owned.begin(), owned.end());
+  // for_each_route walks each switch in label order, so `stale` comes
+  // out sorted and the sweep is deterministic.
+  std::vector<RouteKey> stale;
+  for (std::size_t si = 0; si < switches_.size(); ++si) {
+    switches_[si]->for_each_route(
+        [&](std::size_t in_port, atm::VcId vc, std::size_t, atm::VcId) {
+          if (vc.vpi != 0 || vc.vci < config_.first_data_vci) return;
+          const RouteKey rk{si, in_port, vc};
+          if (!std::binary_search(owned.begin(), owned.end(), rk)) {
+            stale.push_back(rk);
+          }
+        });
+  }
+  return stale;
 }
 
 void SignalingNetwork::reconcile_routes() {
   // Any data route no active call owns is debris (typically post-crash:
-  // the call table died but the fabric kept forwarding). Collect, sort
-  // for determinism, remove. VCIs are not freed here — the allocator
-  // state is reconciled by the call-table paths, not the fabric sweep.
-  // Signalling relays (endpoint and trunk hops alike) sit below
-  // first_data_vci and are never touched.
-  std::vector<std::tuple<std::size_t, std::size_t, std::uint16_t>> stale;
-  for (std::size_t si = 0; si < switches_.size(); ++si) {
-    switches_[si]->for_each_route(
-        [this, si, &stale](std::size_t in_port, atm::VcId vc, std::size_t,
-                           atm::VcId) {
-          if (vc.vpi != 0 || vc.vci < config_.first_data_vci) return;
-          if (route_owned(si, in_port, vc)) return;
-          stale.emplace_back(si, in_port, vc.vci);
-        });
-  }
-  std::sort(stale.begin(), stale.end());
-  for (const auto& [si, port, vci] : stale) {
-    switches_[si]->remove_route(port, atm::VcId{0, vci});
+  // the call table died but the fabric kept forwarding). VCIs are not
+  // freed here — the pools are reconciled by the call-table paths, not
+  // the fabric sweep.
+  for (const RouteKey& rk : stale_routes()) {
+    switches_[rk.sw]->remove_route(rk.in_port, rk.vc);
     routes_reclaimed_.add();
   }
 }
@@ -996,16 +942,11 @@ void SignalingNetwork::crash_restart() {
   // provisioned signalling relays and endpoint call state survived and
   // must be reconciled.
   calls_.clear();
-  free_vcis_.clear();
+  for (Endpoint& e : endpoints_) e.vcis = new_pool();
+  for (Trunk& t : trunks_) t.vcis = new_pool();
   // The CAC books are volatile too: with no calls there is no committed
   // capacity, and re-admission rebuilds them from live SETUPs.
   committed_pcr_.clear();
-  for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-    next_vci_[ep_key(ep)] = config_.first_data_vci;
-  }
-  for (std::size_t t = 0; t < trunks_.size(); ++t) {
-    next_vci_[trunk_key(t)] = config_.first_data_vci;
-  }
   ++restart_instance_;
   reconcile_routes();
   for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
@@ -1051,94 +992,52 @@ void SignalingNetwork::handle_restart_ack(std::size_t from_ep) {
 
 // --- invariants -------------------------------------------------------
 
-std::size_t SignalingNetwork::stranded_vcis() const {
-  std::size_t stranded = 0;
-  const auto count_key = [this, &stranded](std::uint32_t key,
-                                           const auto& owned) {
-    const auto nit = next_vci_.find(key);
-    const std::uint16_t next =
-        nit == next_vci_.end() ? config_.first_data_vci : nit->second;
-    const auto fit = free_vcis_.find(key);
-    for (std::uint16_t vci = config_.first_data_vci; vci < next; ++vci) {
-      if (fit != free_vcis_.end() &&
-          std::find(fit->second.begin(), fit->second.end(), vci) !=
-              fit->second.end()) {
-        continue;
-      }
-      if (owned(vci)) continue;
-      ++stranded;
+SignalingNetwork::HeldVcis SignalingNetwork::held_vcis() const {
+  HeldVcis held{std::vector<std::vector<std::uint16_t>>(endpoints_.size()),
+                std::vector<std::vector<std::uint16_t>>(trunks_.size())};
+  for (const auto& [id, call] : calls_) {
+    held.endpoint[call.caller_ep].push_back(call.caller_vc.vci);
+    held.endpoint[call.callee_ep].push_back(call.callee_vc.vci);
+    const Circuit& c = call.circuit;
+    for (std::size_t i = 0; i < c.path.size(); ++i) {
+      held.trunk[c.path[i]].push_back(c.hop_vcis[i]);
     }
-  };
+  }
+  return held;
+}
+
+std::size_t SignalingNetwork::stranded_vcis() const {
+  const HeldVcis held = held_vcis();
+  std::size_t stranded = 0;
   for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-    count_key(ep_key(ep), [this, ep](std::uint16_t vci) {
-      for (const auto& [id, call] : calls_) {
-        if (call.caller_ep == ep && call.caller_vc.vci == vci) return true;
-        if (call.callee_ep == ep && call.callee_vc.vci == vci) return true;
-      }
-      return false;
-    });
+    stranded += endpoints_[ep].vcis.stranded(held.endpoint[ep]);
   }
   for (std::size_t t = 0; t < trunks_.size(); ++t) {
-    count_key(trunk_key(t), [this, t](std::uint16_t vci) {
-      for (const auto& [id, call] : calls_) {
-        for (std::size_t i = 0; i < call.path.size(); ++i) {
-          if (call.path[i] == t && call.trunk_vcis[i] == vci) return true;
-        }
-      }
-      return false;
-    });
+    stranded += trunks_[t].vcis.stranded(held.trunk[t]);
   }
   return stranded;
 }
 
 std::size_t SignalingNetwork::stranded_routes() const {
-  std::size_t stale = 0;
-  for (std::size_t si = 0; si < switches_.size(); ++si) {
-    switches_[si]->for_each_route([this, si, &stale](std::size_t in_port,
-                                                     atm::VcId vc,
-                                                     std::size_t, atm::VcId) {
-      if (vc.vpi != 0 || vc.vci < config_.first_data_vci) return;
-      if (!route_owned(si, in_port, vc)) ++stale;
-    });
-  }
-  return stale;
+  return stale_routes().size();
 }
 
 void SignalingNetwork::audit_invariants(core::InvariantAuditor& auditor) {
   // Every allocated VCI is owned by exactly one active call or sits on
   // the free list — per endpoint leg and per trunk alike.
+  const HeldVcis held = held_vcis();
   for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-    const auto nit = next_vci_.find(ep_key(ep));
-    const std::uint64_t allocated =
-        nit == next_vci_.end() || nit->second == 0
-            ? 0
-            : static_cast<std::uint64_t>(nit->second - config_.first_data_vci);
-    const auto fit = free_vcis_.find(ep_key(ep));
-    const std::uint64_t free_count =
-        fit == free_vcis_.end() ? 0 : fit->second.size();
-    std::uint64_t legs = 0;
-    for (const auto& [id, call] : calls_) {
-      if (call.caller_ep == ep) ++legs;
-      if (call.callee_ep == ep) ++legs;
-    }
-    auditor.expect_eq(allocated, free_count + legs, "sig vci conservation",
+    const VciPool& pool = endpoints_[ep].vcis;
+    auditor.expect_eq(pool.allocated(),
+                      pool.free.size() + held.endpoint[ep].size(),
+                      "sig vci conservation",
                       "endpoint " + std::to_string(ep) +
                           ": allocated == free + active call legs");
   }
   for (std::size_t t = 0; t < trunks_.size(); ++t) {
-    const auto nit = next_vci_.find(trunk_key(t));
-    const std::uint64_t allocated =
-        nit == next_vci_.end() || nit->second == 0
-            ? 0
-            : static_cast<std::uint64_t>(nit->second - config_.first_data_vci);
-    const auto fit = free_vcis_.find(trunk_key(t));
-    const std::uint64_t free_count =
-        fit == free_vcis_.end() ? 0 : fit->second.size();
-    std::uint64_t hops = 0;
-    for (const auto& [id, call] : calls_) {
-      hops += std::count(call.path.begin(), call.path.end(), t);
-    }
-    auditor.expect_eq(allocated, free_count + hops,
+    const VciPool& pool = trunks_[t].vcis;
+    auditor.expect_eq(pool.allocated(),
+                      pool.free.size() + held.trunk[t].size(),
                       "sig trunk vci conservation",
                       "trunk " + std::to_string(t) +
                           ": allocated == free + path hops");
@@ -1147,7 +1046,7 @@ void SignalingNetwork::audit_invariants(core::InvariantAuditor& auditor) {
   // 2 x (path hops + 1) per call, every one owned.
   std::uint64_t expected_routes = 0;
   for (const auto& [id, call] : calls_) {
-    expected_routes += call.routes.size();
+    expected_routes += call.circuit.routes.size();
   }
   std::uint64_t data_routes = 0;
   for (std::size_t si = 0; si < switches_.size(); ++si) {

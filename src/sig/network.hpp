@@ -58,6 +58,14 @@
 //   agent -> endpoint k:   (agent, 0/32+k) -> ... -> (ep port, 0/5)
 // with 0/128+k on any intermediate trunk hop. All of these sit below
 // `first_data_vci`, so the data-route sweeps never touch them.
+//
+// To the agent a relay and a call are one thing, a Circuit: a duplex
+// chain of per-hop VC translations over a trunk path, with its primary
+// path, one VCI per trunk hop and the routes it programmed. One code
+// path programs, removes and moves both; a circuit is on protection
+// exactly when its path is not its primary. A call's data VCIs come
+// from pools owned by what they number: each endpoint numbers its call
+// legs, each trunk the hops that cross it.
 
 #pragma once
 
@@ -227,16 +235,50 @@ class SignalingNetwork {
     std::size_t sw = 0;
     std::size_t in_port = 0;
     atm::VcId vc{};
+    friend auto operator<=>(const RouteKey&, const RouteKey&) = default;
+  };
+  /// A duplex chain of per-hop VC translations over a trunk path: an
+  /// endpoint's signalling relay or a call. Its end VCs live with its
+  /// owner; protection moves `path` and reverts it to `primary`.
+  struct Circuit {
+    std::vector<std::size_t> path;      // trunk ids, a-end -> b-end
+    std::vector<std::size_t> primary;   // as provisioned or admitted
+    // One VCI per trunk hop, shared by both directions: the two
+    // directions enter different switches, so the (in_port, VCI) keys
+    // never collide.
+    std::vector<std::uint16_t> hop_vcis;
+    std::vector<RouteKey> routes;       // hops programmed, both directions
+    bool on_protection() const { return path != primary; }
+  };
+  /// Where a circuit meets the fabric: the VC its end sends on (`tx`)
+  /// and the VC it receives on (`rx`).
+  struct CircuitEnd {
+    std::size_t sw = 0;
+    std::size_t port = 0;
+    atm::VcId tx{};
+    atm::VcId rx{};
+  };
+  /// One VCI allocator: hands out [first, end) upward and reuses freed
+  /// VCIs last in, first out.
+  struct VciPool {
+    std::uint16_t first = 0;
+    std::size_t end = 0;
+    std::uint16_t next = 0;
+    std::vector<std::uint16_t> free;
+    std::optional<std::uint16_t> allocate();
+    void release(std::uint16_t vci);
+    std::uint64_t allocated() const { return next - first; }
+    /// Allocated VCIs neither on the free list nor in `held`.
+    std::size_t stranded(const std::vector<std::uint16_t>& held) const;
   };
   struct Endpoint {
     std::size_t sw = 0;
     std::size_t port = 0;
     std::uint16_t party = 0;
-    // Signalling relay state (provisioned, survives crash_restart).
-    std::vector<std::size_t> sig_path;     // trunk ids, endpoint -> agent
-    std::vector<std::size_t> sig_primary;  // as provisioned at attach
-    std::vector<RouteKey> sig_routes;
-    bool sig_on_protection = false;
+    VciPool vcis;  // this endpoint's call legs
+    // Signalling VC 0/5 to the agent (provisioned, survives
+    // crash_restart); the endpoint is its a-end.
+    Circuit relay;
   };
   struct Trunk {
     std::size_t sw_a = 0;
@@ -245,6 +287,7 @@ class SignalingNetwork {
     std::size_t port_b = 0;
     net::Link* ab = nullptr;
     net::Link* ba = nullptr;
+    VciPool vcis;  // the hops of the calls crossing it
     bool down = false;
     std::uint64_t epoch = 0;  // invalidates holdoff/revert timers
   };
@@ -264,14 +307,7 @@ class SignalingNetwork {
     sim::Time created = 0;      // for the audit's grace period
     unsigned strikes = 0;       // consecutive suspect audit rounds
     unsigned enquiries_outstanding = 0;
-    // Path state: trunk ids caller -> callee, one allocated VCI per
-    // trunk hop (shared by both directions — the two directions enter
-    // different switches, so the (in_port, VCI) keys never collide).
-    std::vector<std::size_t> path;
-    std::vector<std::uint16_t> trunk_vcis;
-    std::vector<std::size_t> primary_path;  // as admitted at SETUP
-    bool on_protection = false;
-    std::vector<RouteKey> routes;        // hops programmed (when routed)
+    Circuit circuit;                     // the caller is its a-end
     std::vector<std::size_t> cac_keys;   // output ports committed
     // Reroute attempts are retried only after the fabric changes again:
     // with no trunk transition since the last refusal, the answer
@@ -283,16 +319,22 @@ class SignalingNetwork {
     unsigned attempts = 0;
     sim::EventHandle timer;
   };
+  /// The VCIs live calls hold, per endpoint and per trunk pool.
+  struct HeldVcis {
+    std::vector<std::vector<std::uint16_t>> endpoint;
+    std::vector<std::vector<std::uint16_t>> trunk;
+  };
+  /// What protection does with a circuit (see protection_target).
+  enum class Target { kUnchanged, kFound, kUnreachable };
 
   static std::size_t cac_key(std::size_t sw, std::size_t port) {
     return (sw << 8) | port;
   }
-  /// VCI-allocator keys: endpoint legs by attach index, trunks by id.
-  static std::uint32_t ep_key(std::size_t ep) {
-    return (1u << 24) | static_cast<std::uint32_t>(ep);
-  }
-  static std::uint32_t trunk_key(std::size_t trunk) {
-    return (2u << 24) | static_cast<std::uint32_t>(trunk);
+  VciPool new_pool() const {
+    return {config_.first_data_vci,
+            config_.first_data_vci + config_.max_vcs_per_port,
+            config_.first_data_vci,
+            {}};
   }
   atm::VcId agent_tx_vc(std::size_t ep) const {
     return {0, static_cast<std::uint16_t>(32 + ep)};
@@ -302,6 +344,12 @@ class SignalingNetwork {
   }
   atm::VcId sig_hop_vc(std::size_t ep) const {
     return {0, static_cast<std::uint16_t>(128 + ep)};
+  }
+  static CircuitEnd end_of(const Endpoint& e, atm::VcId vc) {
+    return {e.sw, e.port, vc, vc};
+  }
+  CircuitEnd agent_end(std::size_t ep) const {
+    return {agent_sw_, agent_port_, agent_tx_vc(ep), agent_rx_vc(ep)};
   }
 
   void on_frame(std::size_t ep, aal::Bytes sdu);
@@ -313,26 +361,34 @@ class SignalingNetwork {
   void handle_restart_ack(std::size_t from_ep);
   void send_to_endpoint(std::size_t ep, const Message& m);
   void refuse(std::size_t ep, const Message& setup, Cause cause);
-  std::optional<std::uint16_t> allocate_vci(std::uint32_t key);
-  void free_vci(std::uint32_t key, std::uint16_t vci);
+  /// One VCI per hop of `path` from each trunk's pool into `vcis`; on
+  /// exhaustion releases what it took and returns false.
+  bool allocate_hop_vcis(const std::vector<std::size_t>& path,
+                         std::vector<std::uint16_t>& vcis);
+  void release_hop_vcis(const std::vector<std::size_t>& path,
+                        const std::vector<std::uint16_t>& vcis);
+  /// Returns a finished call's VCIs to their pools and its PCR to the
+  /// CAC books.
+  void free_call(const AgentCall& call);
+  HeldVcis held_vcis() const;
   /// Shortest trunk path between two switches (BFS, lowest trunk id
   /// first — deterministic); empty path when src == dst, nullopt when
   /// unreachable. With `avoid_down`, failed trunks are not edges.
   std::optional<std::vector<std::size_t>> find_path(std::size_t from_sw,
                                                     std::size_t to_sw,
                                                     bool avoid_down) const;
+  /// The first failed trunk on `path`, if any.
+  std::optional<std::size_t> first_down_trunk(
+      const std::vector<std::size_t>& path) const;
   /// The trunk's exit port on `sw` and the far side it leads to.
   void trunk_exit(std::size_t trunk, std::size_t sw, std::size_t& tx_port,
                   std::size_t& peer_sw, std::size_t& peer_port) const;
-  /// Programs one simplex direction hop by hop; appends each programmed
-  /// (switch, in_port, vc) to `routes`.
-  void program_direction(std::size_t src_sw, std::size_t src_port,
-                         atm::VcId src_vc, std::size_t dst_port,
-                         atm::VcId dst_vc,
-                         const std::vector<std::size_t>& path,
-                         const std::vector<atm::VcId>& hop_vcs,
-                         std::uint16_t weight, bool abr,
-                         std::vector<RouteKey>& routes);
+  /// Programs both directions of `c` between its ends `a` and `b`
+  /// (a -> b first) along `c.path` with `c.hop_vcis`.
+  void program(Circuit& c, const CircuitEnd& a, const CircuitEnd& b,
+               std::uint16_t weight = 1, bool abr = false);
+  /// Removes every hop `c` programmed.
+  void unprogram(Circuit& c);
   /// Every output port (as a CAC key) the call occupies on `path`,
   /// both directions.
   std::vector<std::size_t> path_cac_keys(
@@ -340,20 +396,23 @@ class SignalingNetwork {
   bool cac_admits_keys(const std::vector<std::size_t>& keys,
                        double pcr) const;
   void cac_apply(const std::vector<std::size_t>& keys, double pcr);
-  void cac_release(AgentCall& call);
+  /// Programs the call's circuit and its UPC at the two ingress ports.
   void program_routes(AgentCall& call);
-  void remove_routes(AgentCall& call);
+  /// Picks the path protection moves `c` onto into `target`: its
+  /// primary, or else the shortest path from `from_sw` to `to_sw`
+  /// around failed trunks.
+  Target protection_target(const Circuit& c, bool to_primary,
+                           std::size_t from_sw, std::size_t to_sw,
+                           std::vector<std::size_t>& target) const;
   /// Moves the call onto `to_primary ? primary : freshly-computed`
   /// path: CAC re-checked, trunk VCIs reallocated, hops reprogrammed,
   /// endpoint-facing VCIs untouched. `trigger` is the trunk that
   /// caused the move (trace only).
-  bool reroute_call(std::uint32_t call_id, bool to_primary,
+  void reroute_call(std::uint32_t call_id, bool to_primary,
                     std::size_t trigger);
-  void program_sig_relay(std::size_t ep);
-  void remove_sig_relay(std::size_t ep);
-  bool reroute_sig(std::size_t ep, bool to_primary);
-  bool path_has_down_trunk(const std::vector<std::size_t>& path) const;
-  bool path_all_up(const std::vector<std::size_t>& path) const;
+  /// Moves endpoint `ep`'s signalling relay the same way (its hops use
+  /// the well-known sig_hop_vc, not a pool).
+  void reroute_sig(std::size_t ep, bool to_primary);
   void on_trunk_state(std::size_t trunk);
   /// Reroutes every signalling relay and routed call whose current
   /// path crosses a failed trunk (contracted calls first).
@@ -362,7 +421,8 @@ class SignalingNetwork {
   void revert_sweep();
   const Endpoint* endpoint_by_party(std::uint16_t party) const;
   std::size_t endpoint_index(const Endpoint* e) const;
-  bool route_owned(std::size_t sw, std::size_t in_port, atm::VcId vc) const;
+  /// Data routes no live call owns, sorted by (switch, port, VC).
+  std::vector<RouteKey> stale_routes() const;
   void audit_tick();
   void ensure_audit_timer();
   void reclaim_call(std::uint32_t call_id, Cause cause);
@@ -384,8 +444,6 @@ class SignalingNetwork {
   std::vector<Trunk> trunks_;
   std::vector<std::unique_ptr<CallControl>> controls_;
   std::unordered_map<std::uint32_t, AgentCall> calls_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint16_t>> free_vcis_;
-  std::unordered_map<std::uint32_t, std::uint16_t> next_vci_;
   // CAC books: PCR committed per (switch, output port) to admitted calls.
   std::unordered_map<std::size_t, double> committed_pcr_;
   std::unordered_map<std::size_t, RestartState> restarts_;

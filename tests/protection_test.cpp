@@ -522,6 +522,88 @@ TEST(Fabric, CrashRestartSweepsEverySwitchOnThePath)  {
   EXPECT_TRUE(audit.ok()) << audit.report();
 }
 
+TEST(Fabric, SignallingRelayRevertsWithTheCall) {
+  sig::SignalingConfig cfg;
+  cfg.protection.enabled = true;
+  auto f = make_fabric(cfg);
+  const Established call = establish(*f);
+
+  fail_trunk(*f, f->t0, true);
+  f->bed.run_for(sim::milliseconds(1));
+  fail_trunk(*f, f->t0, false);
+  f->bed.run_for(cfg.protection.revert_delay + sim::milliseconds(1));
+
+  // Bob's relay left t0 with the call and came back with it (alice's
+  // relay lives on the agent's switch and never moves), so neither the
+  // relay nor the call keeps a hop on the standby switch.
+  EXPECT_EQ(f->net->reverts(), 1u);
+  EXPECT_EQ(f->net->sig_reroutes(), 2u);
+  EXPECT_EQ(f->sw2->route_count(), 0u);
+
+  // The reverted relay carries the teardown both ways.
+  int released = 0;
+  const auto count = [&released](const sig::CallControl::CallInfo&,
+                                 sig::Cause) { ++released; };
+  f->cc_alice->set_released(count);
+  f->cc_bob->set_released(count);
+  f->cc_alice->release(call.call_id);
+  f->bed.run_for(sim::milliseconds(3));
+  EXPECT_EQ(released, 2);
+  EXPECT_EQ(f->cc_alice->active_calls(), 0u);
+  EXPECT_EQ(f->cc_bob->active_calls(), 0u);
+  EXPECT_EQ(f->net->active_calls(), 0u);
+  EXPECT_EQ(f->net->stranded_routes(), 0u);
+}
+
+TEST(Fabric, AuditSweepsOnlyDebrisBesideLiveCalls) {
+  sig::SignalingConfig cfg;
+  auto f = make_fabric(cfg);
+  const Established a = establish(*f);
+  const Established b = establish(*f);
+  ASSERT_EQ(f->net->active_calls(), 2u);
+
+  // Data routes no call owns, on the ports and VCI range the two live
+  // calls use: next to their edge legs and their t0 hops, on the idle
+  // t1 port with a VCI a live hop uses on t0, and on sw2 with a port
+  // and VCI a live call owns on sw0 and sw1.
+  const std::uint16_t first = cfg.first_data_vci;
+  const VcId next{0, static_cast<std::uint16_t>(first + 2)};
+  f->sw0->add_route(0, {0, static_cast<std::uint16_t>(first + 7)}, 1, next);
+  f->sw0->add_route(2, {0, first}, 0, {0, first});
+  f->sw1->add_route(1, next, 0, next);
+  f->sw1->add_route(0, next, 1, next);
+  f->sw2->add_route(0, {0, first}, 1, {0, first});
+  const std::size_t planted = 5;
+  EXPECT_EQ(f->net->stranded_routes(), planted);
+
+  // One audit tick removes exactly the debris.
+  const std::uint64_t ticks = f->net->audit_ticks();
+  const std::uint64_t reclaimed = f->net->routes_reclaimed();
+  f->bed.run_for(cfg.audit_period);
+  ASSERT_EQ(f->net->audit_ticks(), ticks + 1);
+  EXPECT_EQ(f->net->routes_reclaimed(), reclaimed + planted);
+  EXPECT_EQ(f->net->stranded_routes(), 0u);
+  EXPECT_EQ(f->net->active_calls(), 2u);
+
+  // Both calls still deliver end to end.
+  std::size_t got_a = 0, got_b = 0;
+  f->bob->host().set_rx_handler(
+      [&](aal::Bytes sdu, const host::RxInfo& info) {
+        EXPECT_TRUE(aal::verify_pattern(sdu));
+        if (info.vc == a.bob_vc) ++got_a;
+        if (info.vc == b.bob_vc) ++got_b;
+      });
+  f->alice->host().send(a.alice_vc, AalType::kAal5, aal::make_pattern(2000, 1));
+  f->alice->host().send(b.alice_vc, AalType::kAal5, aal::make_pattern(2000, 2));
+  f->bed.run_for(sim::milliseconds(3));
+  EXPECT_EQ(got_a, 1u);
+  EXPECT_EQ(got_b, 1u);
+
+  auto audit = f->bed.audit(/*include_hops=*/false);
+  f->net->audit_invariants(audit);
+  EXPECT_TRUE(audit.ok()) << audit.report();
+}
+
 // --- chaos soak: trunk flaps ------------------------------------------
 
 struct FlapOutcome {

@@ -110,13 +110,24 @@ TEST(ScenarioCodec, EveryScnFileRoundTrips) {
 // Out-of-range numbers are spec errors (exit 2 in bench_fleet), never a
 // run that passes on nonsense, hangs or aborts.
 TEST(ScenarioCodec, OutOfRangeValuesAreRejected) {
+  using namespace std::string_literals;
   const std::string head =
       "name = range\nsource = cbr rate_mbps=10 sdu=1500\n";
+  // Switch 0 numbers every source, the agent and the trunks with an
+  // 8-bit port: one source past kMaxSwitchedSources is a spec error.
+  const auto sources = [](std::size_t n) {
+    std::string lines = "topology = mux\n";
+    for (std::size_t i = 0; i < n; ++i) {
+      lines += "source = cbr rate_mbps=1 sdu=1500\n";
+    }
+    return lines;
+  };
   struct Case {
-    const char* line;
+    std::string line;
     const char* named;  // the error must name the key
   };
   const Case cases[] = {
+      {sources(kMaxSwitchedSources), "source"},  // 254 with the head's
       {"measure_us = -1", "measure_us"},  // strtoull took the sign
       {"warmup_us = +5", "warmup_us"},
       {"warmup_us = 20000000000000", "warmup_us"},  // ps overflow
@@ -151,10 +162,11 @@ TEST(ScenarioCodec, OutOfRangeValuesAreRejected) {
     EXPECT_NE(error.find(c.named), std::string::npos)
         << c.line << " -> " << error;
   }
-  for (const char* edge :
-       {"loss_rate = 0", "loss_rate = 0.999", "measure_us = 9223372036854",
-        "topology = line\nswitches = 3", "accept_jain = 0",
-        "ablation = on\naccept_jain = 0.9"}) {
+  for (const std::string& edge :
+       {"loss_rate = 0"s, "loss_rate = 0.999"s, "measure_us = 9223372036854"s,
+        "topology = line\nswitches = 3"s, "accept_jain = 0"s,
+        "ablation = on\naccept_jain = 0.9"s,
+        sources(kMaxSwitchedSources - 1)}) {
     ScenarioSpec out;
     std::string error;
     EXPECT_TRUE(parse_scenario(head + edge + "\n", out, error))
