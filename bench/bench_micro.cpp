@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aal/aal34.hpp"
@@ -17,6 +18,7 @@
 #include "atm/crc.hpp"
 #include "atm/hec.hpp"
 #include "sim/simulator.hpp"
+#include "sim/telemetry/metrics.hpp"
 
 using namespace hni;
 
@@ -235,6 +237,74 @@ static void BM_CellSerializeRoundtrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellSerializeRoundtrip);
+
+// Rendering the metrics tree: about 200 named entries plus one per-VC
+// family of N VCs with three rows each, visited in a shuffled order as
+// a hash-ordered VC table visits them. hostbench's p2p-manyvc renders
+// four such families of 4096 VCs at teardown.
+struct MetricsTree {
+  struct Vc {
+    std::uint16_t vpi, vci;
+    sim::Counter cells, efci, pdus;
+  };
+  sim::MetricsRegistry registry;
+  std::vector<Vc> vcs;
+  std::vector<double> gauges;
+
+  explicit MetricsTree(std::size_t n) : vcs(n), gauges(20) {
+    const sim::MetricScope root(registry, "station.1.bob.nic");
+    for (int i = 0; i < 180; ++i) {
+      root.sub("layer" + std::to_string(i % 9))
+          .counter("counter_" + std::to_string(i))
+          .add(static_cast<std::uint64_t>(i) * 977);
+    }
+    for (std::size_t i = 0; i < gauges.size(); ++i) {
+      gauges[i] = 0.1 * static_cast<double>(i);
+      root.gauge("gauge_" + std::to_string(i), [g = &gauges[i]] { return *g; });
+    }
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (std::size_t i = 0; i < n; ++i) {
+      vcs[i].vpi = static_cast<std::uint16_t>(i >> 12);
+      vcs[i].vci = static_cast<std::uint16_t>(32 + (i & 0xFFF));
+      vcs[i].cells.add(i * 3);
+      vcs[i].pdus.add(i);
+    }
+    for (std::size_t i = n; i > 1; --i) {  // deterministic shuffle
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      std::swap(vcs[i - 1], vcs[x % i]);
+    }
+    root.sub("rx").vc_family([this](sim::VcRowWriter& rows) {
+      for (const Vc& vc : vcs) {
+        rows.begin(vc.vpi, vc.vci);
+        rows.counter("cells", vc.cells);
+        rows.counter("cells_efci_marked", vc.efci);
+        rows.counter("pdus", vc.pdus);
+      }
+    });
+  }
+};
+
+static void BM_MetricsToJson(benchmark::State& state) {
+  const MetricsTree tree(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.registry.to_json());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) * 3);
+}
+BENCHMARK(BM_MetricsToJson)->Arg(64)->Arg(4096);
+
+static void BM_MetricsSnapshot(benchmark::State& state) {
+  const MetricsTree tree(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.registry.snapshot());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) * 3);
+}
+BENCHMARK(BM_MetricsSnapshot)->Arg(4096);
 
 // A main that speaks the fleet's flag dialect on top of
 // google-benchmark's own. --smoke maps to the kernel-row subset at one

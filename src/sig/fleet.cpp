@@ -283,6 +283,19 @@ ScenarioResult run_switched(const ScenarioSpec& spec, bool smoke,
   if (spec.fault.sig_drop_rate > 0) grace += sim::milliseconds(40);
   if (spec.cac_utilization > 0) grace += sim::milliseconds(20);
   bed.run_for(grace);
+  // Many sources queue their SETUPs at the one agent, so the last calls
+  // can connect after the grace: keep stepping until all have, within
+  // a bound. A run whose calls connect within the grace steps no
+  // further, so its timeline is unchanged.
+  const auto all_connected = [&src_vc] {
+    return std::all_of(src_vc.begin(), src_vc.end(),
+                       [](const auto& vc) { return vc.has_value(); });
+  };
+  for (sim::Time extra = 0;
+       extra < sim::milliseconds(500) && !all_connected();
+       extra += sim::milliseconds(1)) {
+    bed.run_for(sim::milliseconds(1));
+  }
   for (std::size_t i = 0; i < n; ++i) {
     if (!src_vc[i]) {
       r.setup_error = "call " + std::to_string(i) + " failed to connect";

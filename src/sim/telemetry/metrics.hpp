@@ -27,13 +27,22 @@
 // Snapshots are sorted by name, so two identical runs dump
 // byte-identical output — the determinism tests rely on this.
 //
-// Lifetime: expose(), gauge() and family() hold references into the
+// snapshot() and to_json() consume one name-ordered walk. Named entries
+// sit in a name-sorted index from registration on; a family's rows are
+// collected as {name view, value} with one integer-keyed group per VC
+// and sorted by those keys; the walk merges the streams, comparing
+// names only where one stream hands over to another. to_json() appends
+// straight into one pre-sized string, so rendering allocates a bounded
+// number of blocks however many VCs are open.
+//
+// Lifetime: expose(), gauge() and vc_family() hold references into the
 // registering component; the registry must not be snapshotted after a
 // registered component dies. core::Testbed owns the registry alongside
 // its stations and links, which satisfies this by construction.
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -47,6 +56,8 @@
 namespace hni::sim {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+class VcRowWriter;
 
 class MetricsRegistry {
  public:
@@ -74,19 +85,21 @@ class MetricsRegistry {
   /// Registers a callback gauge, sampled at snapshot time.
   void gauge(const std::string& name, std::function<double()> fn);
 
-  /// A row family: at snapshot time `emit` appends any number of rows
-  /// to the snapshot (in any order; snapshot() sorts). Families are
-  /// keyed by `key`; re-registering a key replaces the family (newest
-  /// wins, as with expose()). Family rows are not entries: size()
-  /// does not count them.
-  using Family = std::function<void(std::vector<Sample>& out)>;
-  void family(const std::string& key, Family emit);
+  /// Registers the per-VC row family of `scope`: at snapshot time
+  /// `walk` visits the live VCs, calling VcRowWriter::begin per VC and
+  /// VcRowWriter::counter per instrument, and the rows render as
+  /// "<scope>.vc.<vpi>.<vci>.<name>". Re-registering a scope replaces
+  /// its family (newest wins, as with expose()). Family rows are not
+  /// entries: size() does not count them.
+  using VcWalk = std::function<void(VcRowWriter&)>;
+  void vc_family(const std::string& scope, VcWalk walk);
 
   /// Every instrument, sorted by name (deterministic dump order).
   std::vector<Sample> snapshot() const;
 
-  /// Compact JSON object {"name": value, ...} in snapshot order.
-  /// Histograms render as {"count":n,"p50":x,"p99":y}.
+  /// Compact JSON object {"name": value, ...} in snapshot order, of the
+  /// instruments whose names start with `prefix`. Histograms render as
+  /// {"count":n,"p50":x,"p99":y}.
   std::string to_json(const std::string& prefix = "") const;
 
   /// Registered entries (counters, gauges, histograms). Family rows
@@ -101,46 +114,65 @@ class MetricsRegistry {
     const Histogram* histogram = nullptr;  // owned
     std::function<double()> gauge;
   };
+  struct VcFamily {
+    std::string stem;  // "<scope>.vc."
+    VcWalk walk;
+  };
+  class Walk;  // the name-ordered walk behind snapshot() and to_json()
 
-  Entry* find(const std::string& name);
+  /// The entry named `name`, by binary search of the name index.
+  Entry* find(std::string_view name);
+  /// Adds a new entry and slots it into the name index.
+  void add(Entry e);
 
   // Deques: stable addresses across registration.
   std::deque<Counter> owned_counters_;
   std::deque<Histogram> owned_histograms_;
-  std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, Family>> families_;
+  std::vector<Entry> entries_;            // registration order
+  std::vector<std::uint32_t> by_name_;    // entries_ indices, name order
+  std::vector<VcFamily> families_;
 };
 
-/// Renders per-VC counter rows "<scope>.vc.<vpi>.<vci>.<name>" into a
-/// snapshot. begin() builds a VC's prefix once into a reused buffer, so
-/// each row costs one allocation (its name). VCs may be visited in any
-/// order; finish() reorders the block by name, using the numbers rather
-/// than the strings, so the snapshot inserts it whole instead of
-/// sorting it.
+/// Collects the rows of one VC family during a snapshot. Each row is a
+/// view of its name and the counter's value, so collecting allocates
+/// nothing per row; the registry renders the full names as it walks.
+/// VCs may be visited in any order: each begin() gives its VC one
+/// integer key in the decimal order of its labels, and the registry
+/// sorts the VCs by key. A VC's rows are sorted only if they arrive out
+/// of name order.
 class VcRowWriter {
  public:
-  VcRowWriter(const std::string& scope,
-              std::vector<MetricsRegistry::Sample>& out);
-
-  /// Starts the rows of one VC. Its counter() calls should come in
-  /// name order.
-  void begin(std::uint32_t vpi, std::uint32_t vci);
-  /// Appends "<current VC prefix><name>" with the counter's value.
-  void counter(std::string_view name, const Counter& c);
-  /// Puts the rows in name order; called once, after the last row.
-  void finish();
+  /// Starts the rows of one VC; every counter() call belongs to the
+  /// VC of the last begin(). Labels are 16-bit, as in atm::VcId.
+  void begin(std::uint16_t vpi, std::uint16_t vci);
+  /// Adds the row "<current VC prefix><name>" with the counter's value.
+  /// `name` is viewed, not copied: it must outlive the snapshot (the
+  /// walks pass string literals).
+  void counter(std::string_view name, const Counter& c) {
+    assert(groups_->size() > first_group_ && "counter() before begin()");
+    rows_->push_back({name, static_cast<double>(c.value())});
+    groups_->back().end = static_cast<std::uint32_t>(rows_->size());
+  }
 
  private:
+  friend class MetricsRegistry;
+
+  struct Row {
+    std::string_view name;
+    double value;
+  };
   struct Group {
-    std::uint32_t vpi, vci;
-    std::size_t first, end;  // the VC's rows in *out_
+    std::uint64_t key;         // "<vpi>.<vci>." in name order
+    std::uint32_t first, end;  // the VC's rows in rows_
+    std::uint16_t vpi, vci;
   };
 
-  std::vector<MetricsRegistry::Sample>* out_;
-  std::size_t base_;        // out_->size() at construction
-  std::string prefix_;      // "<scope>.vc.<vpi>.<vci>."
-  std::size_t scope_len_;   // length of "<scope>.vc."
-  std::vector<Group> groups_;
+  VcRowWriter(std::vector<Row>& rows, std::vector<Group>& groups)
+      : rows_(&rows), groups_(&groups), first_group_(groups.size()) {}
+
+  std::vector<Row>* rows_;
+  std::vector<Group>* groups_;
+  std::size_t first_group_;  // groups_->size() at construction
 };
 
 /// A dotted-prefix view of a registry: Scope("nic.rx").counter("drops")
@@ -174,11 +206,11 @@ class MetricScope {
   /// Surfaces a RunningStat as .count/.mean/.max gauges.
   void expose_stat(const std::string& name, const RunningStat& s) const;
 
-  /// Registers the per-VC row family of this scope: at snapshot time
-  /// `walk` visits the live VCs, calling VcRowWriter::begin per VC and
-  /// VcRowWriter::counter per instrument. Rows render as
+  /// Registers the per-VC row family of this scope; rows render as
   /// "<prefix>.vc.<vpi>.<vci>.<name>", the names vc() would build.
-  void vc_family(std::function<void(VcRowWriter&)> walk) const;
+  void vc_family(MetricsRegistry::VcWalk walk) const {
+    registry_->vc_family(prefix_, std::move(walk));
+  }
 
   const std::string& prefix() const { return prefix_; }
   MetricsRegistry& registry() const { return *registry_; }

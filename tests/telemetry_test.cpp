@@ -9,12 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <functional>
+#include <iterator>
 #include <new>
 #include <optional>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -368,6 +377,307 @@ TEST(VcFamily, CloseDuringLandingDmaCountsNothingForTheClosedVc) {
   }
   b.nic().open_vc(kVc, aal::AalType::kAal5);
   EXPECT_EQ(row(bed.metrics(), "station.1.station.nic.rx.vc.0.31.pdus"), 0.0);
+}
+
+// --- The ordered walk -------------------------------------------------
+//
+// snapshot() and to_json() share one name-ordered merge of the sorted
+// entries and each family's rows. The reference below is the naive
+// renderer: every row materialized as a Sample with its full name, all
+// rows sorted by name with std::sort, then printed.
+
+std::string reference_value(double v) {
+  if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
+    return std::to_string(static_cast<std::int64_t>(v));
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
+}
+
+std::string reference_json(const std::vector<sim::MetricsRegistry::Sample>& rows,
+                           const std::string& prefix) {
+  std::string out = "{";
+  for (const auto& s : rows) {
+    if (!s.name.starts_with(prefix)) continue;
+    if (out.size() > 1) out += ",";
+    out += "\"" + s.name + "\":";
+    if (s.kind == sim::MetricKind::kHistogram) {
+      out += "{\"count\":" + reference_value(s.value) +
+             ",\"p50\":" + reference_value(s.histogram->percentile(50)) +
+             ",\"p99\":" + reference_value(s.histogram->percentile(99)) + "}";
+    } else {
+      out += reference_value(s.value);
+    }
+  }
+  return out + "}";
+}
+
+/// A seeded registry that mixes counters, fractional gauges and
+/// histograms with 0–3 VC families, and the rows a naive renderer
+/// would materialize for it.
+class RandomRegistry {
+ public:
+  explicit RandomRegistry(std::uint64_t seed) : rng_(seed) {
+    std::vector<std::function<void()>> steps;
+    const std::size_t families = pick(4);
+    for (std::size_t f = 0; f < families; ++f) {
+      steps.push_back([this] { add_family(); });
+    }
+    const std::size_t entries = pick(30);
+    for (std::size_t e = 0; e < entries; ++e) {
+      steps.push_back([this] { add_entry(); });
+    }
+    shuffle(steps);
+    for (const auto& step : steps) step();
+    std::sort(rows_.begin(), rows_.end(),
+              [](const auto& a, const auto& b) { return a.name < b.name; });
+  }
+
+  const sim::MetricsRegistry& registry() const { return registry_; }
+  /// Every row, sorted by name.
+  const std::vector<sim::MetricsRegistry::Sample>& rows() const {
+    return rows_;
+  }
+
+  /// A filter to try: empty, a family's stem or part of it, part of a
+  /// row's name, a whole name, or one that matches nothing.
+  std::string prefix() {
+    switch (pick(6)) {
+      case 0:
+        return "";
+      case 1:
+        if (!stems_.empty()) return stems_[pick(stems_.size())];
+        return "vc.";
+      case 2:
+        if (!stems_.empty()) {
+          const std::string& stem = stems_[pick(stems_.size())];
+          return stem + std::to_string(label()).substr(0, 1);
+        }
+        return "p";
+      case 3:
+        if (!rows_.empty()) return rows_[pick(rows_.size())].name;
+        return "a";
+      case 4:
+        return "zzz";
+      default:
+        if (rows_.empty()) return "";
+        const std::string& name = rows_[pick(rows_.size())].name;
+        return name.substr(0, pick(name.size() + 1));
+    }
+  }
+
+ private:
+  struct Visit {
+    std::uint16_t vpi, vci;
+    std::vector<std::pair<std::string_view, const sim::Counter*>> rows;
+  };
+
+  std::size_t pick(std::size_t n) { return static_cast<std::size_t>(rng_() % n); }
+
+  template <typename T>
+  void shuffle(std::vector<T>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[pick(i)]);
+  }
+
+  /// Labels whose decimal order differs from their numeric order.
+  std::uint16_t label() {
+    static constexpr std::uint16_t kLabels[] = {
+        0, 1, 2, 5, 9, 10, 11, 19, 50, 99, 100, 101, 500, 1000, 4095, 9999,
+        10000, 65535};
+    if (pick(4) == 0) return static_cast<std::uint16_t>(pick(65536));
+    return kLabels[pick(std::size(kLabels))];
+  }
+
+  sim::Counter& new_counter() {
+    sim::Counter& c = counters_.emplace_back();
+    if (pick(3) != 0) c.add(rng_() % (std::uint64_t{1} << 40));
+    return c;
+  }
+
+  bool claim(const std::string& name) { return names_.insert(name).second; }
+
+  void add_family() {
+    // Scopes include one nested inside another family's VC rows, so
+    // two families' blocks interleave.
+    static constexpr const char* kScopes[] = {
+        "", "p", "p.q", "station.0.nic.rx", "station.0.nic.tx",
+        "station.10.nic.rx", "p.vc.1.2.sub", "p.vc.10.sub"};
+    const std::string scope = kScopes[pick(std::size(kScopes))];
+    const std::string stem = scope.empty() ? "vc." : scope + ".vc.";
+    if (std::find(stems_.begin(), stems_.end(), stem) != stems_.end()) return;
+    stems_.push_back(stem);
+
+    static constexpr std::string_view kRowNames[] = {
+        "a", "b10", "b9", "cells", "cells_efci_marked", "pdus", "z"};
+    std::vector<Visit>& visits = families_.emplace_back();
+    std::set<std::pair<std::uint16_t, std::uint16_t>> seen;
+    const std::size_t vcs = pick(4) == 0 ? 0 : pick(40);
+    for (std::size_t i = 0; i < vcs; ++i) {
+      const std::uint16_t vpi = label();
+      const std::uint16_t vci = label();
+      if (!seen.insert({vpi, vci}).second) continue;
+      // Rows in random order; now and then the VC is visited twice,
+      // each visit with its own row names.
+      std::vector<std::string_view> names(std::begin(kRowNames),
+                                          std::end(kRowNames));
+      shuffle(names);
+      const std::size_t used = pick(names.size() + 1);
+      const std::size_t split = pick(8) == 0 ? pick(used + 1) : used;
+      Visit first{vpi, vci, {}};
+      Visit second{vpi, vci, {}};
+      for (std::size_t k = 0; k < used; ++k) {
+        const sim::Counter& c = new_counter();
+        (k < split ? first : second).rows.emplace_back(names[k], &c);
+        const std::string name = stem + std::to_string(vpi) + "." +
+                                 std::to_string(vci) + "." +
+                                 std::string(names[k]);
+        ASSERT_TRUE(claim(name)) << name;
+        rows_.push_back({name, sim::MetricKind::kCounter,
+                         static_cast<double>(c.value()), nullptr});
+      }
+      visits.push_back(std::move(first));
+      if (split < used) visits.push_back(std::move(second));
+    }
+    shuffle(visits);
+    const auto walk = [&visits](sim::VcRowWriter& writer) {
+      for (const Visit& v : visits) {
+        writer.begin(v.vpi, v.vci);
+        for (const auto& [name, counter] : v.rows) {
+          writer.counter(name, *counter);
+        }
+      }
+    };
+    const sim::MetricScope scoped(registry_, scope);
+    if (pick(4) == 0) scoped.vc_family([](sim::VcRowWriter&) {});
+    scoped.vc_family(walk);  // replaces any earlier walk of this scope
+  }
+
+  void add_entry() {
+    std::string name;
+    if (!stems_.empty() && pick(2) == 0) {
+      // Inside a family's range: between two VCs' rows, between the
+      // rows of one VC, or at the very edge of the block.
+      const std::string& stem = stems_[pick(stems_.size())];
+      switch (pick(4)) {
+        case 0:
+          name = stem + std::to_string(label()) + "." +
+                 std::to_string(label()) + ".named";
+          break;
+        case 1:
+          name = stem + std::to_string(label());
+          break;
+        case 2:
+          name = stem + std::to_string(label()) + "." +
+                 std::to_string(label()) + ".d";
+          break;
+        default:
+          name = stem.substr(0, stem.size() - 1);
+          break;
+      }
+    } else {
+      static constexpr const char* kParts[] = {
+          "ab", "p", "q", "station", "0", "10", "9", "nic", "rx", "vc", "zz"};
+      const std::size_t parts = 1 + pick(4);
+      for (std::size_t i = 0; i < parts; ++i) {
+        if (i > 0) name += '.';
+        name += kParts[pick(std::size(kParts))];
+      }
+    }
+    if (!claim(name)) return;
+    switch (pick(3)) {
+      case 0: {
+        const sim::Counter& c = new_counter();
+        registry_.expose(name, c);
+        rows_.push_back({name, sim::MetricKind::kCounter,
+                         static_cast<double>(c.value()), nullptr});
+        break;
+      }
+      case 1: {
+        static constexpr double kValues[] = {
+            0.5, -3.25, 1e-7, 123456.789, 2.0, 1e15 + 0.5, 0.1, -7.0,
+            6.02e23, 1.0 / 3.0};
+        const double v = kValues[pick(std::size(kValues))];
+        registry_.gauge(name, [v] { return v; });
+        rows_.push_back({name, sim::MetricKind::kGauge, v, nullptr});
+        break;
+      }
+      default: {
+        sim::Histogram& h = registry_.histogram(name, 0.5, 16);
+        for (std::size_t i = pick(20); i > 0; --i) {
+          h.add(static_cast<double>(pick(100)) / 7.0);
+        }
+        rows_.push_back({name, sim::MetricKind::kHistogram,
+                         static_cast<double>(h.count()), &h});
+        break;
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+  sim::MetricsRegistry registry_;
+  std::deque<sim::Counter> counters_;
+  std::deque<std::vector<Visit>> families_;  // the walks hold references
+  std::vector<std::string> stems_;
+  std::set<std::string> names_;
+  std::vector<sim::MetricsRegistry::Sample> rows_;
+};
+
+TEST(MetricsWalk, MatchesNaiveSortedRenderOnRandomRegistries) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    RandomRegistry r(seed);
+    const auto& want = r.rows();
+    const auto got = r.registry().snapshot();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].name, want[i].name) << "seed " << seed << " row " << i;
+      EXPECT_EQ(got[i].kind, want[i].kind) << got[i].name;
+      EXPECT_EQ(got[i].value, want[i].value) << got[i].name;
+      EXPECT_EQ(got[i].histogram, want[i].histogram) << got[i].name;
+    }
+    for (int k = 0; k < 6; ++k) {
+      const std::string prefix = r.prefix();
+      ASSERT_EQ(r.registry().to_json(prefix), reference_json(want, prefix))
+          << "seed " << seed << " prefix '" << prefix << "'";
+    }
+  }
+}
+
+/// Blocks one to_json() allocates for a registry of 50 named counters
+/// and one family of `vcs` VCs, three rows each, visited in reverse
+/// name order.
+std::uint64_t to_json_allocations(std::size_t vcs) {
+  sim::MetricsRegistry registry;
+  const sim::MetricScope scope(registry, "station.1.bob.nic.rx");
+  for (int i = 0; i < 50; ++i) {
+    scope.counter("named_" + std::to_string(i)).add(static_cast<std::uint64_t>(i));
+  }
+  std::vector<std::pair<atm::VcId, sim::Counter>> table(vcs);
+  for (std::size_t i = 0; i < vcs; ++i) {
+    table[i].first = nth_vc(i);
+    table[i].second.add(i);
+  }
+  scope.vc_family([&table](sim::VcRowWriter& rows) {
+    for (auto it = table.rbegin(); it != table.rend(); ++it) {
+      rows.begin(it->first.vpi, it->first.vci);
+      rows.counter("cells", it->second);
+      rows.counter("cells_efci_marked", it->second);
+      rows.counter("pdus", it->second);
+    }
+  });
+  const std::uint64_t before = g_allocations;
+  const std::string json = registry.to_json();
+  const std::uint64_t blocks = g_allocations - before;
+  EXPECT_NE(json.find("\"station.1.bob.nic.rx.vc.0.32.pdus\":0"),
+            std::string::npos);
+  return blocks;
+}
+
+TEST(MetricsWalk, ToJsonAllocationsDoNotGrowWithRows) {
+  const std::uint64_t small = to_json_allocations(64);
+  const std::uint64_t large = to_json_allocations(4096);
+  EXPECT_LT(large, 64u);
+  EXPECT_LE(large, small + 16) << "64 VCs: " << small;
 }
 
 TEST(MetricsRegistry, TableRendersAndFiltersByPrefix) {
