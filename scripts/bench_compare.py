@@ -32,6 +32,12 @@ row that only the candidate has fails too, so a new scenario's census
 is gated from the commit that adds it (rate rows only the candidate has
 are ignored).
 
+Both documents' machine ("context": host_name, num_cpus, mhz_per_cpu,
+as google-benchmark records it) are printed when present. When a rate
+row fails and the two machines differ, the output says so: a rate
+recorded on another machine is not a like-for-like baseline. The note
+changes no verdict.
+
 Exit status: 0 = no regression, 1 = regression or missing benchmark,
 2 = usage / unreadable input.
 """
@@ -48,6 +54,20 @@ def load_doc(path):
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
+
+
+HOST_KEYS = ("host_name", "num_cpus", "mhz_per_cpu")
+
+
+def host_of(doc):
+    """Returns the machine a document was recorded on, as a tuple of
+    (key, value) pairs from its "context"; empty when it names none."""
+    context = doc.get("context") or {}
+    return tuple((k, context[k]) for k in HOST_KEYS if k in context)
+
+
+def describe_host(host):
+    return ", ".join(f"{k}={v}" for k, v in host) if host else "not recorded"
 
 
 def load_exact(doc):
@@ -112,6 +132,11 @@ def main(argv=None):
               file=sys.stderr)
         sys.exit(2)
 
+    base_host, cand_host = host_of(base_doc), host_of(cand_doc)
+    if base_host or cand_host:
+        print(f"baseline host:  {describe_host(base_host)}")
+        print(f"candidate host: {describe_host(cand_host)}")
+
     failures = 0
     width = max(len(n) for n in [*base, *base_exact, *cand_exact])
     print(f"{'benchmark':<{width}}  {'baseline':>12} {'candidate':>12} "
@@ -128,6 +153,7 @@ def main(argv=None):
         print(f"{name:<{width}}  {base[name]:12.3e} {cand[name]:12.3e} "
               f"{ratio:7.2f}  {verdict}")
         failures += 0 if ok else 1
+    rate_failures = failures
     for name in sorted(base_exact):
         if name not in cand_exact:
             print(f"{name:<{width}}  {base_exact[name]:12.6g} {'—':>12} "
@@ -144,6 +170,10 @@ def main(argv=None):
               f"{'exact':>7}  NEW (not in the baseline)")
         failures += 1
 
+    if rate_failures and base_host and cand_host and base_host != cand_host:
+        print("bench_compare: the baseline was recorded on another host "
+              f"({describe_host(base_host)}); a failed rate row may "
+              "measure the machine, not the change")
     if failures:
         print(f"bench_compare: {failures} benchmark(s) regressed beyond "
               f"{args.threshold:.0%} of baseline or changed an exact row",

@@ -56,10 +56,16 @@ class CompareTest(unittest.TestCase):
         return path
 
     def run_gate(self, baseline, candidate, threshold=0.15):
+        return self.run_gate_output(baseline, candidate, threshold)[0]
+
+    def run_gate_output(self, baseline, candidate, threshold=0.15):
+        """Returns (exit status, stdout) of one gate run."""
         argv = [baseline, candidate, "--threshold", str(threshold)]
-        with contextlib.redirect_stdout(io.StringIO()), \
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return bench_compare.main(argv)
+            status = bench_compare.main(argv)
+        return status, out.getvalue()
 
     def test_identical_runs_pass(self):
         rows = doc([rate_row("kernel/events", 5e6)])
@@ -139,6 +145,38 @@ class CompareTest(unittest.TestCase):
         cand = self.write("c.json", doc([exact_row("c/total", 3.0),
                                          rate_row("k", 90.0)]))
         self.assertEqual(self.run_gate(base, cand, threshold=0.15), 0)
+
+    def test_hosts_are_printed_and_a_differing_one_is_named(self):
+        vm = {"host_name": "vm", "num_cpus": 1, "mhz_per_cpu": 2100,
+              "load_avg": [0.5]}
+        box = {"host_name": "box", "num_cpus": 4, "mhz_per_cpu": 3000}
+        base = self.write("b.json", {"context": vm,
+                                     "benchmarks": [rate_row("k", 100.0)]})
+        slow = {"benchmarks": [rate_row("k", 50.0)]}
+        elsewhere = self.write("e.json", {**slow, "context": box})
+        same = self.write("s.json", {**slow, "context": vm})
+        fast = self.write("f.json", {"context": box,
+                                     "benchmarks": [rate_row("k", 100.0)]})
+
+        status, out = self.run_gate_output(base, elsewhere)
+        self.assertEqual(status, 1)  # the note changes no verdict
+        self.assertIn("baseline host:  host_name=vm, num_cpus=1, "
+                      "mhz_per_cpu=2100", out)
+        self.assertIn("candidate host: host_name=box, num_cpus=4, "
+                      "mhz_per_cpu=3000", out)
+        self.assertIn("recorded on another host", out)
+        # Same machine, or nothing failed: no note.
+        status, out = self.run_gate_output(base, same)
+        self.assertEqual(status, 1)
+        self.assertNotIn("another host", out)
+        status, out = self.run_gate_output(base, fast)
+        self.assertEqual(status, 0)
+        self.assertNotIn("another host", out)
+        # Documents without a context print no host lines.
+        plain = self.write("p.json", doc([rate_row("k", 100.0)]))
+        status, out = self.run_gate_output(plain, plain)
+        self.assertEqual(status, 0)
+        self.assertNotIn("host", out)
 
     def test_missing_benchmark_fails(self):
         base = self.write("b.json", doc([rate_row("a", 1.0),

@@ -14,10 +14,6 @@ Host::Host(sim::Simulator& sim, bus::HostMemory& memory, nic::Nic& nic,
   nic_.tx().set_completion(
       [this](const nic::TxDescriptor& d) { on_tx_complete(d); });
   nic_.rx().set_deliver([this](nic::RxDelivery d) { on_rx(std::move(d)); });
-  // Congestion visibility: count every throttle/recovery the NIC's
-  // closed-loop controller applies (tx_rate_factor reads the NIC).
-  nic_.set_congestion_handler(
-      [this](atm::VcId, double) { congestion_events_.add(); });
   // Post the receive-buffer budget: the NIC draws landing pages from it
   // and a delivery returns them once the host has consumed the SDU.
   rx_pages_available_ = config_.rx_posted_pages;

@@ -85,14 +85,6 @@ class Host {
   /// Receive pages currently posted (available to the NIC).
   std::size_t rx_pages_posted() const { return rx_pages_available_; }
 
-  /// Congestion visibility: the TX rate factor the NIC currently
-  /// applies to `vc` (1.0 = unthrottled).
-  double tx_rate_factor(atm::VcId vc) const {
-    return nic_.vc_rate_factor(vc);
-  }
-  /// Throttle/recovery events the NIC reported to this host.
-  std::uint64_t congestion_events() const { return congestion_events_.value(); }
-
  private:
   void on_tx_complete(const nic::TxDescriptor& d);
   void on_rx(nic::RxDelivery d);
@@ -121,7 +113,6 @@ class Host {
   sim::Counter bytes_tx_;
   sim::Counter bytes_rx_;
   sim::Counter interrupts_;
-  sim::Counter congestion_events_;
 };
 
 }  // namespace hni::host

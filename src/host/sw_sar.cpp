@@ -17,7 +17,6 @@ SwSarHost::SwSarHost(sim::Simulator& sim, bus::Bus& bus, SwSarConfig config)
 }
 
 void SwSarHost::open_vc(atm::VcId vc, aal::AalType aal) {
-  vc_aal_.insert_or_assign(vc, aal);
   reassemblers_.emplace(vc, aal::FrameReassembler(aal));
 }
 

@@ -101,7 +101,6 @@ class SwSarHost {
   bool rx_active_ = false;      // a cell is being serviced right now
   bool in_interrupt_ = false;   // host is inside the RX interrupt loop
   std::unordered_map<atm::VcId, aal::FrameReassembler> reassemblers_;
-  std::unordered_map<atm::VcId, aal::AalType> vc_aal_;
   std::uint64_t next_seq_ = 0;
 
   sim::Counter sent_;

@@ -30,10 +30,12 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "aal/sar.hpp"
 #include "atm/fifo.hpp"
@@ -105,13 +107,15 @@ class RxPath {
     return vcs_.contains(atm::vc_label(vc));
   }
   std::size_t vcs_open() const { return vcs_.size(); }
-  /// Every open VC, for state reconciliation (cold path, allocates).
+  /// Every open VC in label order (cold path, allocates): the NIC
+  /// inserts one AIS cell per entry under loss of signal.
   std::vector<atm::VcId> open_vc_ids() const {
     std::vector<atm::VcId> out;
     out.reserve(vcs_.size());
     vcs_.for_each([&out](std::uint32_t label, const VcState&) {
       out.push_back(atm::vc_from_label(label));
     });
+    std::sort(out.begin(), out.end());
     return out;
   }
 

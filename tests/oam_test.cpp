@@ -159,6 +159,77 @@ TEST(Rdi, CloseVcClearsStandingPause) {
   EXPECT_FALSE(a.nic().tx().vc_paused(kVc));
 }
 
+TEST(ContinuityCheck, ReopenedOrRestartedVcRunsOneHeartbeat) {
+  // Regression: a heartbeat timer found its VC's CC state by label
+  // alone, and a fresh record restarted the epoch the timers were
+  // checked against, so the chains a close + reopen or a stop + start
+  // left behind matched the new record and kept sending: 2 ms carried
+  // 20 and then 30 heartbeats instead of 10.
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.cc.enabled = true;
+  auto& a = bed.add_station(cfg);
+  auto& b = bed.add_station(cfg);
+  bed.connect(a, b, {}, sim::microseconds(50));
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  ASSERT_EQ(a.nic().config().cc.period, sim::microseconds(200));
+
+  // Windows of 2 ms placed off every chain's tick phase, so each live
+  // chain contributes exactly ten heartbeats.
+  auto heartbeats_in_2ms = [&] {
+    bed.run_for(sim::microseconds(50));
+    const std::uint64_t before = a.nic().cc_cells_sent();
+    bed.run_for(sim::milliseconds(2));
+    return a.nic().cc_cells_sent() - before;
+  };
+  a.nic().start_cc(kVc);
+  EXPECT_EQ(heartbeats_in_2ms(), 10u);
+
+  bed.run_for(sim::microseconds(50));
+  a.nic().close_vc(kVc);
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  a.nic().start_cc(kVc);
+  EXPECT_EQ(heartbeats_in_2ms(), 10u);
+
+  bed.run_for(sim::microseconds(50));
+  a.nic().stop_cc(kVc);
+  a.nic().start_cc(kVc);
+  EXPECT_EQ(heartbeats_in_2ms(), 10u);
+  EXPECT_EQ(a.nic().cc_monitored(), 1u);
+
+  core::InvariantAuditor auditor;
+  auditor.audit_station(a);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
+TEST(Alarms, VcOpenedTwiceGetsOneAisPerPeriod) {
+  // Regression: the NIC kept its own list of open VCs beside the RX
+  // path's table, one entry per open_vc call, so a VC opened twice
+  // counted twice and drew two AIS cells per period under loss of
+  // signal.
+  core::Testbed bed;
+  auto& a = bed.add_station({});
+  auto& b = bed.add_station({});
+  auto [ab, ba] = bed.connect(a, b, {}, sim::microseconds(50));
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  EXPECT_EQ(b.nic().open_vc_count(), 1u);
+
+  // AIS goes in when the signal drops and every ais_period after.
+  ASSERT_EQ(b.nic().config().ais_period, sim::microseconds(500));
+  ab->set_down(true);
+  bed.run_for(sim::microseconds(2100));
+  EXPECT_TRUE(b.nic().los());
+  EXPECT_EQ(b.nic().ais_inserted(), 5u);
+  EXPECT_EQ(b.nic().ais_received(), 5u);
+
+  core::InvariantAuditor auditor;
+  auditor.audit_station(b);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
 TEST(Loopback, WorksWhileUserDataFlows) {
   core::Testbed bed;
   auto& a = bed.add_station({});

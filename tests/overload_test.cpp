@@ -222,7 +222,6 @@ TEST(Congestion, ClosedLoopThrottlesThenRecovers) {
   EXPECT_GT(b.nic().rm_cells_sent(), 0u);
   EXPECT_GT(a.nic().rm_cells_received(), 0u);
   EXPECT_GT(a.nic().congestion_throttle_events(), 0u);
-  EXPECT_GT(a.host().congestion_events(), 0u);
   EXPECT_LT(a.nic().vc_rate_factor(kVcA), 1.0);
   EXPECT_GT(delivered, 0u);
 
@@ -233,7 +232,6 @@ TEST(Congestion, ClosedLoopThrottlesThenRecovers) {
   bed.run_for(sim::milliseconds(120));
   EXPECT_GT(a.nic().congestion_recoveries(), 0u);
   EXPECT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 1.0);
-  EXPECT_DOUBLE_EQ(a.host().tx_rate_factor(kVcA), 1.0);
 
   auto auditor = bed.audit(/*include_hops=*/true);
   EXPECT_TRUE(auditor.ok()) << auditor.report();

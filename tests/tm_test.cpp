@@ -530,6 +530,54 @@ TEST(Erica, ClosedLoopConvergesAndShedsShaperOnRecovery) {
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
+// --- congestion recovery ------------------------------------------------
+
+TEST(Congestion, ReopenedVcRecoversOncePerPeriod) {
+  // Regression: the recovery timer found its VC's congestion state by
+  // label alone, so a timer armed before close_vc drove the record a
+  // reopened VC was throttled into: two recovery chains, a step every
+  // half period (recoveries 1 -> 2 -> 3 at +1.5 / +2.0 / +2.5 ms).
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.congestion.enabled = true;
+  cfg.nic.congestion.decrease = 0.25;  // one RM: several recovery steps
+  auto& a = bed.add_station(cfg);
+  auto& b = bed.add_station(cfg);
+  bed.connect(a, b);
+  a.nic().open_vc(kVcA, aal::AalType::kAal5);
+  b.nic().open_vc(kVcA, aal::AalType::kAal5);
+  const sim::Time period = a.nic().config().congestion.recovery_period;
+  ASSERT_EQ(period, sim::milliseconds(1));
+  const atm::Cell ci =
+      rm_cell(kVcA, atm::kRmErUnlimited,
+              atm::kRmFlagBackward | atm::kRmFlagCi);
+
+  // Throttled within the first 50 us: its recovery timer is due at
+  // about +1.0 ms.
+  b.nic().tx().inject_cell(ci);
+  bed.run_for(sim::microseconds(50));
+  ASSERT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 0.25);
+
+  // Closed and reopened at +0.5 ms, then throttled again: the only
+  // recovery chain left is the new one, due at about +1.5, +2.5 ms.
+  bed.run_for(sim::microseconds(450));
+  a.nic().close_vc(kVcA);
+  EXPECT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 1.0);
+  a.nic().open_vc(kVcA, aal::AalType::kAal5);
+  b.nic().tx().inject_cell(ci);
+  bed.run_for(sim::microseconds(50));
+  ASSERT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 0.25);
+  EXPECT_EQ(a.nic().congestion_recoveries(), 0u);
+
+  bed.run_for(period);  // +1.55 ms
+  EXPECT_EQ(a.nic().congestion_recoveries(), 1u);
+  bed.run_for(period / 2);  // +2.05 ms
+  EXPECT_EQ(a.nic().congestion_recoveries(), 1u);
+  bed.run_for(period / 2);  // +2.55 ms
+  EXPECT_EQ(a.nic().congestion_recoveries(), 2u);
+  EXPECT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 0.25 * 1.5 * 1.5);
+}
+
 // --- TX shaper lifecycle ------------------------------------------------
 
 TEST(TxShaper, FloatDirtyRecoveryFactorShedsShaper) {
