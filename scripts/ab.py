@@ -12,8 +12,12 @@ tree per pair on the same seed, alternating which tree goes first. Seeds
 are distinct across pairs and never 7919.
 
 For every end-to-end metric in BENCHMARK.json it prints the median of
-the per-pair change/parent ratios, how many pairs the change won, and
-the parent's interquartile range (IQR). Exits 1 when any metric's median
+the per-pair change/parent ratios, how many pairs the change won, the
+parent's interquartile range (IQR) and a verdict: "WORSE than bound",
+"unresolved" (the parent's IQR, relative to its median, is wider than
+the metric's bound, and not every change run beats every parent run),
+"better, beyond IQR" / "worse, beyond IQR" (the medians differ by more
+than the parent's IQR) or "within IQR". Exits 1 when any metric's median
 ratio is worse than that metric's `bound` in BENCHMARK.json, or when any
 run reports a failed operation. BENCHMARK.json is only read.
 """
@@ -60,9 +64,10 @@ def summarize(parent, change, better, bound):
     """Pairs up `parent` and `change` values of one metric.
 
     Returns the median change/parent ratio, the pairs the change won,
-    the parent's median and IQR, the change's median, whether the median
-    difference exceeds the parent IQR, and whether the median ratio is
-    worse than `bound`.
+    the parent's median and IQR, the change's median, whether the change
+    median is better, whether the median difference exceeds the parent
+    IQR, whether the parent's spread is too wide for `bound` to resolve,
+    and whether the median ratio is worse than `bound`.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs per side")
@@ -75,6 +80,10 @@ def summarize(parent, change, better, bound):
     c_med = statistics.median(change)
     spread = iqr(parent)
     regressed = ratio > 1.0 + bound if lower else ratio < 1.0 - bound
+    relative_spread = (spread / abs(p_med) if p_med
+                       else float("inf") if spread else 0.0)
+    every_run_better = (max(change) < min(parent) if lower
+                        else min(change) > max(parent))
     return {
         "median_ratio": ratio,
         "wins": wins,
@@ -82,9 +91,22 @@ def summarize(parent, change, better, bound):
         "parent_median": p_med,
         "change_median": c_med,
         "parent_iqr": spread,
+        "better": c_med < p_med if lower else c_med > p_med,
         "beyond_iqr": abs(c_med - p_med) > spread,
+        "unresolved": relative_spread > bound and not every_run_better,
         "regressed": regressed,
     }
+
+
+def verdict(s, bound):
+    """One summarize() row's verdict, as format_table prints it."""
+    if s["regressed"]:
+        return f"WORSE than bound {bound:g}"
+    if s["unresolved"]:
+        return "unresolved"
+    if s["beyond_iqr"]:
+        return ("better" if s["better"] else "worse") + ", beyond IQR"
+    return "within IQR"
 
 
 def format_table(workload, rows):
@@ -94,12 +116,10 @@ def format_table(workload, rows):
            "| wins | parent IQR | verdict |",
            "|---|---|---|---|---|---|---|"]
     for name, bound, s in rows:
-        verdict = (f"WORSE than bound {bound:g}" if s["regressed"]
-                   else "beyond IQR" if s["beyond_iqr"] else "within IQR")
         out.append(f"| {name} | {s['parent_median']:.6g} "
                    f"| {s['change_median']:.6g} | {s['median_ratio']:.3f} "
                    f"| {s['wins']}/{s['pairs']} | {s['parent_iqr']:.4g} "
-                   f"| {verdict} |")
+                   f"| {verdict(s, bound)} |")
     return "\n".join(out)
 
 

@@ -97,5 +97,53 @@ class LoadMetrics(unittest.TestCase):
         self.assertIn("WORSE than bound 0.25", table)
 
 
+class Verdict(unittest.TestCase):
+    # Parent runs with median 100 and IQR 4 (4 % of the median).
+    PARENT = [96, 98, 99, 100, 100, 101, 102, 104]
+
+    def verdict(self, parent, change, better="lower", bound=0.25):
+        return ab.verdict(ab.summarize(parent, change, better, bound), bound)
+
+    def test_worse_than_bound(self):
+        self.assertEqual(self.verdict(self.PARENT, [130] * 8),
+                         "WORSE than bound 0.25")
+
+    def test_unresolved_when_the_parent_spread_passes_the_bound(self):
+        # IQR 4 on a median of 100 is wider than a 0.02 bound.
+        s = ab.summarize(self.PARENT, [p - 1 for p in self.PARENT],
+                         "lower", 0.02)
+        self.assertTrue(s["unresolved"])
+        self.assertEqual(ab.verdict(s, 0.02), "unresolved")
+
+    def test_wide_spread_resolves_when_every_change_run_is_better(self):
+        change = [90, 91, 92, 93, 94, 94, 95, 95]  # all below 96
+        self.assertEqual(self.verdict(self.PARENT, change, bound=0.02),
+                         "better, beyond IQR")
+        change = [106, 107, 108, 109, 110, 111, 112, 113]
+        self.assertEqual(
+            self.verdict(self.PARENT, change, better="higher", bound=0.02),
+            "better, beyond IQR")
+
+    def test_better_beyond_iqr(self):
+        self.assertEqual(self.verdict(self.PARENT, [p - 10 for p in self.PARENT]),
+                         "better, beyond IQR")
+        self.assertEqual(
+            self.verdict(self.PARENT, [p + 10 for p in self.PARENT],
+                         better="higher"),
+            "better, beyond IQR")
+
+    def test_worse_beyond_iqr(self):
+        self.assertEqual(self.verdict(self.PARENT, [p + 10 for p in self.PARENT]),
+                         "worse, beyond IQR")
+        self.assertEqual(
+            self.verdict(self.PARENT, [p - 10 for p in self.PARENT],
+                         better="higher"),
+            "worse, beyond IQR")
+
+    def test_within_iqr(self):
+        self.assertEqual(self.verdict(self.PARENT, [p + 1 for p in self.PARENT]),
+                         "within IQR")
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -16,7 +16,7 @@ Host::Host(sim::Simulator& sim, bus::HostMemory& memory, nic::Nic& nic,
   nic_.rx().set_deliver([this](nic::RxDelivery d) { on_rx(std::move(d)); });
   // Post the receive-buffer budget: the NIC draws landing pages from it
   // and a delivery returns them once the host has consumed the SDU.
-  rx_pages_available_ = config_.rx_posted_pages;
+  nic_.rx().post_pages(config_.rx_posted_pages);
   // Pin what the driver can hold at once: the posted receive budget
   // plus one staging page per send-window slot. The page allocator
   // hands out the lowest pages first, so while the outstanding pages
@@ -29,23 +29,6 @@ Host::Host(sim::Simulator& sim, bus::HostMemory& memory, nic::Nic& nic,
   // sender (window 64, 9180-octet SDUs) peaks at 192 pages, inside its
   // 576 pinned pages, because its receive budget sits unused.
   memory_.pin(config_.rx_posted_pages + config_.max_inflight_tx);
-  nic_.rx().set_buffer_allocator(
-      [this](std::size_t bytes) -> std::optional<bus::SgList> {
-        const std::size_t pages =
-            (bytes + memory_.page_bytes() - 1) / memory_.page_bytes();
-        if (pages > rx_pages_available_ ||
-            pages > memory_.pages_free()) {
-          return std::nullopt;
-        }
-        rx_pages_available_ -= pages;
-        return memory_.alloc(bytes);
-      });
-  // A landing that never completes (DMA gave up) must repost its pages,
-  // or the budget leaks away under faults.
-  nic_.rx().set_buffer_releaser([this](const bus::SgList& sg) {
-    memory_.free(sg);
-    rx_pages_available_ += sg.size();
-  });
 }
 
 bool Host::send(atm::VcId vc, aal::AalType aal, aal::Bytes sdu) {
@@ -101,8 +84,7 @@ void Host::on_rx(nic::RxDelivery d) {
   cpu_.execute(instr, [this] {
     const nic::RxDelivery d = landed_.take_front();
     aal::Bytes sdu = memory_.gather(d.sg, d.len);
-    memory_.free(d.sg);
-    rx_pages_available_ += d.sg.size();  // replenish the posted budget
+    nic_.rx().repost(d.sg);  // replenish the posted budget
     received_.add();
     bytes_rx_.add(sdu.size());
     RxInfo info;

@@ -82,8 +82,6 @@ class Host {
   std::uint64_t bytes_received() const { return bytes_rx_.value(); }
   std::uint64_t interrupts_taken() const { return interrupts_.value(); }
   std::size_t inflight_tx() const { return inflight_; }
-  /// Receive pages currently posted (available to the NIC).
-  std::size_t rx_pages_posted() const { return rx_pages_available_; }
 
  private:
   void on_tx_complete(const nic::TxDescriptor& d);
@@ -99,7 +97,6 @@ class Host {
   std::unordered_map<atm::VcId, RxHandler> vc_handlers_;
   ReadyFn tx_ready_;
   std::size_t inflight_ = 0;
-  std::size_t rx_pages_available_ = 0;
   // Work waiting on the CPU, in the order its CPU time was queued (the
   // CPU completes work in FIFO order, so each completion takes the
   // front): descriptors being posted, deliveries being handed up.

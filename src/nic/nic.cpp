@@ -12,13 +12,7 @@ Nic::Nic(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
   tx_ = std::make_unique<TxPath>(sim, bus, memory, config_.firmware,
                                  config_.tx, config_.line);
   rx_ = std::make_unique<RxPath>(sim, bus, memory, config_.firmware,
-                                 config_.rx);
-  rx_->set_oam_handler(
-      [this](atm::VcId vc, const atm::OamCell& oam) { on_oam(vc, oam); });
-  rx_->set_rm_handler(
-      [this](atm::VcId vc, const atm::Cell& c) { on_rm(vc, c); });
-  rx_->set_efci_observer([this](atm::VcId vc) { on_efci(vc); });
-  rx_->set_activity_observer([this](atm::VcId vc) { on_activity(vc); });
+                                 config_.rx, this);
 }
 
 namespace {
@@ -318,7 +312,7 @@ void Nic::on_oam(atm::VcId vc, const atm::OamCell& oam) {
     }
     case atm::OamFunction::kContinuityCheck:
       // The heartbeat itself carries no payload semantics: its arrival
-      // already reset the LOC clock via the activity observer.
+      // already reset the LOC clock through on_activity.
       cc_received_.add();
       break;
   }

@@ -297,6 +297,8 @@ class Nic {
     return n;
   }
 
+  // The RX engine's calls for cells on open VCs (RxPath is the caller).
+  friend class RxPath;
   void on_oam(atm::VcId vc, const atm::OamCell& oam);
   void on_activity(atm::VcId vc);
   void cc_tick(atm::VcId vc, std::uint64_t token);

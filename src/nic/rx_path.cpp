@@ -1,13 +1,16 @@
 #include "nic/rx_path.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "aal/aal34.hpp"
+#include "nic/nic.hpp"
 
 namespace hni::nic {
 
 RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
-               const proc::FirmwareProfile& firmware, RxPathConfig config)
+               const proc::FirmwareProfile& firmware, RxPathConfig config,
+               Nic* owner)
     : sim_(sim),
       memory_(memory),
       dma_(bus, memory, config.dma),
@@ -18,7 +21,9 @@ RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
       fifo_(sim, config.fifo_cells),
       board_(sim, config.board),
       vcs_(config.vc_buckets),
-      interrupts_(sim, config.interrupt_coalesce) {
+      interrupts_(sim, config.interrupt_coalesce),
+      owner_(owner),
+      posted_pages_(memory.pages_free()) {
   ph_arrival_ = profiler_.phase("cell arrival + VC lookup");
   ph_append_ = profiler_.phase("buffer append / reassembly");
   ph_crc_ = profiler_.phase("payload CRC (software)");
@@ -27,13 +32,6 @@ RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
   ph_dma_wait_ = profiler_.phase("landing DMA wait (overlapped)");
   engine_.set_profiler(&profiler_);
   fifo_.set_on_push([this] { service(); });
-  alloc_ = [this](std::size_t bytes) -> std::optional<bus::SgList> {
-    if (memory_.pages_free() * memory_.page_bytes() < bytes) {
-      return std::nullopt;
-    }
-    return memory_.alloc(bytes);
-  };
-  release_ = [this](const bus::SgList& sg) { memory_.free(sg); };
   if (config_.reassembly_timeout > 0) {
     sim_.after(config_.reassembly_timeout, [this] { sweep_stale_pdus(); });
   }
@@ -60,7 +58,7 @@ void RxPath::open_vc(atm::VcId vc, aal::AalType aal) {
   VcState state;
   state.aal = aal;
   state.reasm = std::make_unique<aal::FrameReassembler>(
-      aal, aal::FrameReassembler::Config(config_.max_sdu), &buffers_);
+      aal, aal::FrameReassembler::Config(), &buffers_);
   vcs_.insert(atm::vc_label(vc), std::move(state));
 }
 
@@ -177,10 +175,7 @@ void RxPath::service() {
     const std::uint32_t instr = rx_cell_instructions(
         firmware_, aal::AalType::kAal5, proc::CellPosition{false, false},
         found.extra_probes);
-    engine_.execute(ph_arrival_, instr, [this] {
-      engine_busy_ = false;
-      service();
-    });
+    engine_.execute(ph_arrival_, instr, [this] { step_done(); });
     return;
   }
 
@@ -188,63 +183,30 @@ void RxPath::service() {
 
   // Any cell on a known VC proves the connection is alive — the
   // continuity-check sink resets its loss-of-continuity clock on this.
-  if (activity_observer_) activity_observer_(cell->header.vc);
+  if (owner_ != nullptr) owner_->on_activity(cell->header.vc);
 
-  // Resource-management cells: congestion feedback, neither OAM nor
-  // reassembly. Charged like an OAM cell (same control-plane budget).
-  if (cell->header.pti == atm::Pti::kResourceMgmt) {
-    atm::Cell c = std::move(*cell);
-    engine_.execute(ph_oam_, firmware_.rx.oam_cell, [this, c = std::move(c)] {
-      rm_cells_.add();
-      if (rm_handler_) rm_handler_(c.header.vc, c);
-      engine_busy_ = false;
-      service();
-    });
-    return;
-  }
-
-  // OAM cells: fault-management handling, no reassembly involvement.
+  std::uint32_t instr = firmware_.rx.oam_cell;
   if (!atm::pti_is_user_data(cell->header.pti)) {
-    atm::Cell c = std::move(*cell);
-    engine_.execute(ph_oam_, firmware_.rx.oam_cell, [this, c = std::move(c)] {
-      oam_cells_.add();
-      if (auto oam = atm::OamCell::parse(c)) {
-        if (oam_handler_) oam_handler_(c.header.vc, *oam);
-      } else {
-        oam_bad_.add();
-      }
-      engine_busy_ = false;
-      service();
-    });
-    return;
+    // OAM and RM cells: control-plane budget, no reassembly.
+    profiler_.add(ph_oam_, engine_.cost(instr));
+  } else {
+    const proc::CellPosition pos{is_first_cell(*cell, state),
+                                 is_last_cell(*cell, state.aal)};
+    instr = rx_cell_instructions(firmware_, state.aal, pos,
+                                 found.extra_probes);
+    // One engine occupancy, three budget lines: arrival + VC lookup, the
+    // software-CRC share (zero with the offload), append/reassembly rest.
+    const std::uint32_t arrival_instr =
+        firmware_.rx.cell_arrival +
+        rx_cell_lookup_instructions(firmware_, found.extra_probes);
+    const std::uint32_t crc_instr =
+        rx_cell_crc_instructions(firmware_, state.aal);
+    profiler_.add(ph_arrival_, engine_.cost(arrival_instr));
+    profiler_.add(ph_append_, engine_.cost(instr - arrival_instr - crc_instr));
+    if (crc_instr > 0) profiler_.add(ph_crc_, engine_.cost(crc_instr));
   }
-
-  const proc::CellPosition pos{is_first_cell(*cell, state),
-                               is_last_cell(*cell, state.aal)};
-  const std::uint32_t instr = rx_cell_instructions(
-      firmware_, state.aal, pos, found.extra_probes);
-  // One engine occupancy, three budget lines: arrival + VC lookup, the
-  // software-CRC share (zero with the offload), append/reassembly rest.
-  const std::uint32_t arrival_instr =
-      firmware_.rx.cell_arrival +
-      rx_cell_lookup_instructions(firmware_, found.extra_probes);
-  const std::uint32_t crc_instr =
-      rx_cell_crc_instructions(firmware_, state.aal);
-  profiler_.add(ph_arrival_, engine_.cost(arrival_instr));
-  profiler_.add(ph_append_, engine_.cost(instr - arrival_instr - crc_instr));
-  if (crc_instr > 0) profiler_.add(ph_crc_, engine_.cost(crc_instr));
-  atm::Cell c = std::move(*cell);
-  engine_.execute(instr, [this, c = std::move(c)]() mutable {
-    // Re-find the state: the VC table may have changed while the engine
-    // worked (close_vc mid-flight).
-    VcState* state = vcs_.find(atm::vc_label(c.header.vc)).value;
-    if (state == nullptr) {
-      no_vc_.add();
-      engine_busy_ = false;
-      service();
-      return;
-    }
-    process_cell(std::move(c), *state);
+  engine_.execute(instr, [this, c = std::move(*cell)]() mutable {
+    finish_cell(std::move(c));
   });
 }
 
@@ -268,17 +230,46 @@ void RxPath::sweep_stale_pdus() {
   sim_.after(config_.reassembly_timeout, [this] { sweep_stale_pdus(); });
 }
 
-void RxPath::process_cell(atm::Cell cell, VcState& state) {
+void RxPath::finish_cell(atm::Cell cell) {
   const atm::VcId vc = cell.header.vc;
-  state.last_activity = sim_.now();
-  state.m_cells.add();
+  // Re-find the state: the VC may have closed while the engine worked.
+  VcState* state = vcs_.find(atm::vc_label(vc)).value;
+  if (state == nullptr) {
+    no_vc_.add();
+    step_done();
+    return;
+  }
+
+  // Resource-management cells: congestion feedback, neither OAM nor
+  // reassembly.
+  if (cell.header.pti == atm::Pti::kResourceMgmt) {
+    rm_cells_.add();
+    if (owner_ != nullptr) owner_->on_rm(vc, cell);
+    step_done();
+    return;
+  }
+
+  // OAM cells: fault-management handling.
+  if (!atm::pti_is_user_data(cell.header.pti)) {
+    oam_cells_.add();
+    if (auto oam = atm::OamCell::parse(cell)) {
+      if (owner_ != nullptr) owner_->on_oam(vc, *oam);
+    } else {
+      oam_bad_.add();
+    }
+    step_done();
+    return;
+  }
+
+  state->last_activity = sim_.now();
+  state->m_cells.add();
 
   // EFCI: a congested queue upstream marked this cell. Count it and
   // tell the congestion controller before reassembly touches the cell.
   if (atm::pti_efci(cell.header.pti)) {
     efci_marked_.add();
-    state.m_efci.add();
-    if (efci_observer_) efci_observer_(vc);
+    state->m_efci.add();
+    if (owner_ != nullptr) owner_->on_efci(vc);
   }
 
   // Board memory accounting: one cell appended to this VC's chain.
@@ -286,16 +277,14 @@ void RxPath::process_cell(atm::Cell cell, VcState& state) {
     // Pool exhausted: the in-progress PDU on this VC is abandoned.
     board_drop_.add();
     board_.release(chain_key(vc));
-    state.reasm->reset();
-    engine_busy_ = false;
-    service();
+    state->reasm->reset();
+    step_done();
     return;
   }
 
-  std::optional<aal::FrameDelivery> done = state.reasm->push(cell);
+  std::optional<aal::FrameDelivery> done = state->reasm->push(cell);
   if (!done) {
-    engine_busy_ = false;
-    service();
+    step_done();
     return;
   }
   complete_pdu(vc, std::move(*done));
@@ -306,8 +295,7 @@ void RxPath::complete_pdu(atm::VcId vc, aal::FrameDelivery d) {
   if (!d.ok()) {
     pdus_err_.add();
     error_counts_[static_cast<std::size_t>(d.error)].add();
-    engine_busy_ = false;
-    service();
+    step_done();
     return;
   }
 
@@ -315,22 +303,23 @@ void RxPath::complete_pdu(atm::VcId vc, aal::FrameDelivery d) {
   // free once the DMA is programmed; the transfer itself is hardware.
   engine_.execute(ph_deliver_, rx_pdu_instructions(firmware_),
                   [this, vc, d = std::move(d)]() mutable {
-    std::optional<bus::SgList> sg = alloc_(d.sdu.size());
-    if (!sg) {
+    // Host pages come out of the driver's posted budget.
+    const std::size_t pages =
+        (d.sdu.size() + memory_.page_bytes() - 1) / memory_.page_bytes();
+    if (pages > posted_pages_ || pages > memory_.pages_free()) {
       host_buffer_drop_.add();
       buffers_.give(std::move(d.sdu));
-      engine_busy_ = false;
-      service();
+      step_done();
       return;
     }
+    posted_pages_ -= pages;
     Landing* l = landings_.acquire();
     l->vc = vc;
+    l->sg = memory_.alloc(d.sdu.size());
     l->sdu = std::move(d.sdu);
-    l->sg = *std::move(sg);
     l->first_cell_time = d.first_cell_time;
     // Engine moves on; DMA completes in the background.
-    engine_busy_ = false;
-    service();
+    step_done();
     l->issued = sim_.now();
     dma_.write(l->sg, 0, l->sdu, [this, l] { landed(l); },
                [this, l] { landing_failed(l); });
@@ -360,10 +349,10 @@ void RxPath::landed(Landing* l) {
 }
 
 void RxPath::landing_failed(Landing* l) {
-  // Landing DMA gave up: the reassembled PDU is lost and the host
-  // buffers go back where they came from.
+  // Landing DMA gave up: the reassembled PDU is lost and its host
+  // pages are posted again.
   dma_drop_.add();
-  if (release_) release_(l->sg);
+  repost(l->sg);
   buffers_.give(std::move(l->sdu));
   landings_.release(l);
 }

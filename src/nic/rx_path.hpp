@@ -25,8 +25,14 @@
 // on its first cell, and the buffer goes back when the PDU's landing
 // DMA lands or fails, or when the PDU errors, times out or is aborted
 // by an engine reset. Buffers grow to the largest PDU seen, never to
-// max_sdu, and a warm path reassembles and lands PDUs without the
-// allocator.
+// the AAL maximum, and a warm path reassembles and lands PDUs without
+// the allocator. A PDU lands in host pages the driver posted (see
+// rx_pages_posted()).
+//
+// Each cell the engine pulls is one engine step, charged when the VC is
+// looked up. The step's completion looks the VC up again, so a cell
+// whose VC closed meanwhile is counted in cells_no_vc and reaches
+// neither reassembly nor the owning Nic's OAM, RM and EFCI handlers.
 
 #pragma once
 
@@ -34,7 +40,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "aal/sar.hpp"
@@ -52,6 +57,8 @@
 #include "sim/pool.hpp"
 
 namespace hni::nic {
+
+class Nic;
 
 /// A PDU landed in host memory.
 struct RxDelivery {
@@ -77,7 +84,6 @@ struct RxPathConfig {
   /// Landing DMA retry/backoff policy (max_retries = 0 disables
   /// recovery: one failed attempt loses the PDU).
   bus::DmaConfig dma{};
-  std::size_t max_sdu = aal::kAal5MaxSdu;
   /// A partially assembled PDU idle this long is abandoned and its
   /// board containers reclaimed (a lost final cell must not pin
   /// resources). 0 disables the sweep.
@@ -91,13 +97,12 @@ struct RxPathConfig {
 class RxPath {
  public:
   using DeliverFn = std::function<void(RxDelivery)>;
-  /// Provides host buffers for a PDU of the given size; empty optional
-  /// means the host is out of receive buffers (the PDU is dropped).
-  using BufferAllocator =
-      std::function<std::optional<bus::SgList>(std::size_t)>;
 
+  /// `owner` is the Nic whose OAM, RM, EFCI and activity handlers the
+  /// engine calls for cells on open VCs; null runs the path alone.
   RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
-         const proc::FirmwareProfile& firmware, RxPathConfig config);
+         const proc::FirmwareProfile& firmware, RxPathConfig config,
+         Nic* owner = nullptr);
 
   /// Opens a VC for reassembly with the given AAL.
   void open_vc(atm::VcId vc, aal::AalType aal);
@@ -124,16 +129,22 @@ class RxPath {
 
   /// Host-facing delivery hook (fires after DMA + interrupt).
   void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
-  /// Overrides the default allocator (which draws directly from host
-  /// memory) — the host driver's free-buffer ring.
-  void set_buffer_allocator(BufferAllocator alloc) {
-    alloc_ = std::move(alloc);
-  }
-  /// Returns buffers obtained from the allocator but never delivered
-  /// (the landing DMA gave up). Must undo whatever the allocator did.
-  using BufferReleaser = std::function<void(const bus::SgList&)>;
-  void set_buffer_releaser(BufferReleaser release) {
-    release_ = std::move(release);
+
+  // --- posted receive budget ------------------------------------------
+  /// Host pages the driver has posted and the path has not drawn. A
+  /// landing draws its pages only when both this budget and host
+  /// memory hold them; otherwise the PDU is dropped
+  /// (pdus_dropped_host_buffers). A path with no driver starts with
+  /// every free page of host memory posted.
+  std::size_t rx_pages_posted() const { return posted_pages_; }
+  /// The driver posts its receive budget, replacing the current one.
+  void post_pages(std::size_t pages) { posted_pages_ = pages; }
+  /// Frees a landing's host pages and posts them again: the driver
+  /// after it consumed a delivery, the path itself when a landing DMA
+  /// gives up.
+  void repost(const bus::SgList& sg) {
+    memory_.free(sg);
+    posted_pages_ += sg.size();
   }
 
   // --- fault hooks & recovery -------------------------------------------
@@ -152,34 +163,6 @@ class RxPath {
   const bus::DmaEngine& dma() const { return dma_; }
   std::uint64_t watchdog_resets() const {
     return watchdog_ ? watchdog_->resets() : 0;
-  }
-
-  /// Receives valid OAM cells arriving on open VCs (fault management;
-  /// the Nic wires loopback semantics on top).
-  using OamHandler = std::function<void(atm::VcId, const atm::OamCell&)>;
-  void set_oam_handler(OamHandler handler) {
-    oam_handler_ = std::move(handler);
-  }
-
-  /// Receives resource-management cells (PTI 0b110) arriving on open
-  /// VCs — the Nic's congestion controller closes the EFCI loop here.
-  using RmHandler = std::function<void(atm::VcId, const atm::Cell&)>;
-  void set_rm_handler(RmHandler handler) { rm_handler_ = std::move(handler); }
-
-  /// Fires once per user-data cell observed with the EFCI congestion
-  /// mark (after the reassembly engine has accepted the cell).
-  using EfciObserver = std::function<void(atm::VcId)>;
-  void set_efci_observer(EfciObserver observer) {
-    efci_observer_ = std::move(observer);
-  }
-
-  /// Fires once per cell the engine pulls for a *known* VC (user data,
-  /// OAM or RM alike), before any engine-time elapses — the liveness
-  /// signal the NIC's continuity-check sink feeds on. One branch when
-  /// unset.
-  using ActivityObserver = std::function<void(atm::VcId)>;
-  void set_activity_observer(ActivityObserver observer) {
-    activity_observer_ = std::move(observer);
   }
 
   InterruptController& interrupts() { return interrupts_; }
@@ -263,8 +246,14 @@ class RxPath {
   };
 
   void service();
+  /// Ends the engine's step for one cell and pulls the next.
+  void step_done() {
+    engine_busy_ = false;
+    service();
+  }
   void sweep_stale_pdus();
-  void process_cell(atm::Cell cell, VcState& state);
+  /// A cell's engine step completed: hand it to the owner or reassembly.
+  void finish_cell(atm::Cell cell);
   void complete_pdu(atm::VcId vc, aal::FrameDelivery d);
   void landed(Landing* landing);
   void landing_failed(Landing* landing);
@@ -291,12 +280,8 @@ class RxPath {
   sim::FlatMap<std::uint32_t, VcState> vcs_;
   InterruptController interrupts_;
   DeliverFn deliver_;
-  BufferAllocator alloc_;
-  BufferReleaser release_;
-  OamHandler oam_handler_;
-  RmHandler rm_handler_;
-  EfciObserver efci_observer_;
-  ActivityObserver activity_observer_;
+  Nic* owner_;
+  std::size_t posted_pages_;
   std::unique_ptr<Watchdog> watchdog_;
   bool engine_busy_ = false;
   bool wedged_ = false;

@@ -5,6 +5,12 @@
 
 namespace hni::nic {
 
+namespace {
+// Staged PDUs one VC may hold at once, so no VC takes every staging
+// slot (fairness).
+constexpr std::size_t kStagedPerVc = 2;
+}  // namespace
+
 TxPath::TxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
                const proc::FirmwareProfile& firmware, TxPathConfig config,
                atm::LineRate line)
@@ -161,7 +167,7 @@ bool TxPath::has_runnable_work() const {
     for (const auto& d : ring_) {
       const VcState* vs = vcs_.find(atm::vc_label(d.vc)).value;
       if (vs == nullptr) return true;
-      if (!vs->paused && !vs->staging && vs->queued < config_.staged_per_vc) {
+      if (!vs->paused && !vs->staging && vs->queued < kStagedPerVc) {
         return true;
       }
     }
@@ -239,7 +245,7 @@ void TxPath::maybe_stage_next() {
                          [this](const TxDescriptor& d) {
                            const VcState& vs = state_for(d.vc);
                            return !vs.staging && !vs.paused &&
-                                  vs.queued < config_.staged_per_vc;
+                                  vs.queued < kStagedPerVc;
                          });
   if (it == ring_.end()) return;
   ++staging_inflight_;

@@ -79,7 +79,6 @@ struct TxPathConfig {
   std::size_t ring_entries = 32;
   std::size_t fifo_cells = 64;
   std::size_t staged_pdus = 4;     // board staging slots (total)
-  std::size_t staged_per_vc = 2;   // ...and per VC (fairness)
   std::size_t staging_concurrency = 2;  // staging DMAs in flight (the
                                         // bus arbitrates burst-wise)
   TxDmaMode dma_mode = TxDmaMode::kWholePdu;

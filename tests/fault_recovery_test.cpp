@@ -119,11 +119,15 @@ TEST(DmaRetry, RxLandingGiveUpReturnsHostBuffers) {
   EXPECT_EQ(p.received, 0u);
   EXPECT_EQ(p.b->nic().rx().pdus_dropped_dma(), 1u);
   EXPECT_EQ(p.b->nic().rx().dma().gave_up(), 1u);
+  // Every page the give-up drew was posted again, not one leaked.
+  const std::size_t posted = host::HostConfig{}.rx_posted_pages;
+  EXPECT_EQ(p.b->nic().rx().rx_pages_posted(), posted);
 
   // The posted-buffer budget was replenished: later traffic lands.
   p.a->host().send(kVc, AalType::kAal5, aal::make_pattern(4000, 2));
   p.bed.run_for(sim::milliseconds(10));
   EXPECT_EQ(p.received, 1u);
+  EXPECT_EQ(p.b->nic().rx().rx_pages_posted(), posted);
   p.expect_books_balance();
 }
 

@@ -206,15 +206,27 @@ TEST(RxPath, BoardExhaustionDropsPdu) {
 
 TEST(RxPath, HostBufferExhaustionCounted) {
   Fixture f;
-  f.rx->set_buffer_allocator(
-      [](std::size_t) -> std::optional<bus::SgList> {
-        return std::nullopt;  // host never provides buffers
-      });
+  f.rx->post_pages(0);  // the host never posts a receive buffer
   f.rx->open_vc({0, 9}, aal::AalType::kAal5);
   f.inject(aal::aal5_segment(aal::make_pattern(500, 1), {0, 9}));
   f.sim.run_until(sim::milliseconds(2));
   EXPECT_EQ(f.rx->pdus_dropped_host_buffers(), 1u);
   EXPECT_EQ(f.rx->pdus_delivered(), 0u);
+  EXPECT_EQ(f.rx->rx_pages_posted(), 0u);
+}
+
+TEST(RxPath, StandalonePathPostsAllFreeHostPages) {
+  Fixture f;
+  EXPECT_EQ(f.rx->rx_pages_posted(), f.mem.pages_free());
+  f.rx->open_vc({0, 9}, aal::AalType::kAal5);
+  std::vector<RxDelivery> got;
+  f.rx->set_deliver([&](RxDelivery d) { got.push_back(std::move(d)); });
+  f.inject(aal::aal5_segment(aal::make_pattern(5000, 1), {0, 9}));
+  f.sim.run_until(sim::milliseconds(2));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(f.rx->rx_pages_posted(), f.mem.pages_free());  // 2 drawn
+  f.rx->repost(got[0].sg);
+  EXPECT_EQ(f.rx->rx_pages_posted(), f.mem.pages_total());
 }
 
 TEST(RxPath, ReassemblyErrorsCountedByKind) {

@@ -1,6 +1,6 @@
 // OAM fault-management tests: cell codec, CRC-10 protection, loopback
 // round-trips through the full testbed, control-cell priority, and the
-// host's posted receive-buffer budget.
+// receive-buffer budget the host posts to the RX path.
 
 #include <gtest/gtest.h>
 
@@ -159,6 +159,39 @@ TEST(Rdi, CloseVcClearsStandingPause) {
   EXPECT_FALSE(a.nic().tx().vc_paused(kVc));
 }
 
+TEST(Rdi, VcClosedWhileTheEngineHandlesTheCellTakesNoPause) {
+  // Regression: the RX engine ran an OAM cell's handler one engine step
+  // after its VC lookup, so an RDI whose VC closed inside that step
+  // still paused the closed VC and left rdi_pending above the open VC
+  // count.
+  core::Testbed bed;
+  auto& a = bed.add_station({});
+  auto& b = bed.add_station({});
+  bed.connect(a, b);
+  a.nic().open_vc(kVc, aal::AalType::kAal5);
+  b.nic().open_vc(kVc, aal::AalType::kAal5);
+
+  atm::OamCell rdi;
+  rdi.function = atm::OamFunction::kRdi;
+  b.nic().tx().inject_cell(rdi.to_cell(kVc));
+  // Step until a's RX engine has looked the cell up: its step runs.
+  const std::uint64_t serviced = a.nic().rx().cells_serviced();
+  while (a.nic().rx().cells_serviced() == serviced && bed.sim().step()) {
+  }
+  ASSERT_EQ(a.nic().rx().cells_serviced(), serviced + 1);
+  ASSERT_EQ(a.nic().rdi_received(), 0u);
+  const std::uint64_t no_vc = a.nic().rx().cells_no_vc();
+
+  a.nic().close_vc(kVc);
+  bed.run_for(sim::milliseconds(1));
+  EXPECT_EQ(a.nic().rdi_received(), 0u);
+  EXPECT_EQ(a.nic().rdi_pending(), 0u);
+  EXPECT_FALSE(a.nic().tx().vc_paused(kVc));
+  EXPECT_EQ(a.nic().rx().cells_no_vc(), no_vc + 1);
+  auto auditor = bed.audit(/*include_hops=*/true);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
 TEST(ContinuityCheck, ReopenedOrRestartedVcRunsOneHeartbeat) {
   // Regression: a heartbeat timer found its VC's CC state by label
   // alone, and a fresh record restarted the epoch the timers were
@@ -305,7 +338,7 @@ TEST(RxBufferBudget, StarvationDropsAndRecovers) {
 
   EXPECT_GT(b.nic().rx().pdus_dropped_host_buffers(), 0u);
   EXPECT_GT(got, 0u);  // budget replenishes; later PDUs land
-  EXPECT_EQ(b.host().rx_pages_posted(), 2u);  // conserved at rest
+  EXPECT_EQ(b.nic().rx().rx_pages_posted(), 2u);  // conserved at rest
 }
 
 TEST(RxBufferBudget, AmplePostingNeverStarves) {

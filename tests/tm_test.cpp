@@ -578,6 +578,39 @@ TEST(Congestion, ReopenedVcRecoversOncePerPeriod) {
   EXPECT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 0.25 * 1.5 * 1.5);
 }
 
+TEST(Congestion, VcClosedWhileTheEngineHandlesRmIsNotThrottled) {
+  // Regression: the RX engine ran an RM cell's handler one engine step
+  // after its VC lookup, so an RM whose VC closed inside that step
+  // still throttled the closed VC, and the reopened VC started slowed.
+  core::Testbed bed;
+  core::StationConfig cfg;
+  cfg.nic.congestion.enabled = true;
+  cfg.nic.congestion.decrease = 0.25;
+  auto& a = bed.add_station(cfg);
+  auto& b = bed.add_station(cfg);
+  bed.connect(a, b);
+  a.nic().open_vc(kVcA, aal::AalType::kAal5);
+  b.nic().open_vc(kVcA, aal::AalType::kAal5);
+
+  b.nic().tx().inject_cell(rm_cell(
+      kVcA, atm::kRmErUnlimited, atm::kRmFlagBackward | atm::kRmFlagCi));
+  // Step until a's RX engine has looked the cell up: its step runs.
+  const std::uint64_t serviced = a.nic().rx().cells_serviced();
+  while (a.nic().rx().cells_serviced() == serviced && bed.sim().step()) {
+  }
+  ASSERT_EQ(a.nic().rx().cells_serviced(), serviced + 1);
+  ASSERT_EQ(a.nic().rm_cells_received(), 0u);
+  const std::uint64_t no_vc = a.nic().rx().cells_no_vc();
+
+  a.nic().close_vc(kVcA);
+  bed.run_for(sim::microseconds(50));
+  EXPECT_EQ(a.nic().rm_cells_received(), 0u);
+  EXPECT_EQ(a.nic().congestion_throttle_events(), 0u);
+  EXPECT_EQ(a.nic().rx().cells_no_vc(), no_vc + 1);
+  a.nic().open_vc(kVcA, aal::AalType::kAal5);
+  EXPECT_DOUBLE_EQ(a.nic().vc_rate_factor(kVcA), 1.0);
+}
+
 // --- TX shaper lifecycle ------------------------------------------------
 
 TEST(TxShaper, FloatDirtyRecoveryFactorShedsShaper) {
