@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
     // Middle-cell service time vs the 707.8 ns slot.
     sim::Simulator s;
-    proc::Engine probe(s, {"probe", mhz * 1e6, 1.0});
+    proc::Engine probe(s, {mhz * 1e6, 1.0});
     const double ratio =
         static_cast<double>(probe.cost(proc::rx_cell_instructions(
             proc::FirmwareProfile{}, aal::AalType::kAal5, {false, false}))) /

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   // --smoke accepted for fleet uniformity; pure arithmetic tables.
   const hni::bench::Cli cli = hni::bench::parse_cli(argc, argv);
   sim::Simulator sim;
-  proc::Engine engine(sim, {"rx-80960", 25e6, 1.0});
+  proc::Engine engine(sim, {25e6, 1.0});
   const sim::Time slot3 = atm::sts3c().cell_slot();
   const sim::Time slot12 = atm::sts12c().cell_slot();
 

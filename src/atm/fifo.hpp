@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/telemetry/metrics.hpp"
@@ -81,10 +82,8 @@ class CellFifo {
     --count_;
     pops_.add();
     depth_.set(sim_.now(), static_cast<double>(count_));
-    if (waiter_count_ > 0) {
-      sim::Action cb = std::move(waiters_[waiter_head_]);
-      waiter_head_ = wrap_waiter(waiter_head_ + 1);
-      --waiter_count_;
+    if (!waiters_.empty()) {
+      sim::Action cb = waiters_.take_front();
       cb();
     }
     return item;
@@ -104,11 +103,7 @@ class CellFifo {
   /// frees a slot (FIFO order among waiters). Waiters live in their own
   /// small ring: a line-rate producer arms one per cell, so a deque
   /// here would be a per-few-cells chunk allocation.
-  void wait_space(sim::Action cb) {
-    if (waiter_count_ == waiters_.size()) grow_waiters();
-    waiters_[wrap_waiter(waiter_head_ + waiter_count_)] = std::move(cb);
-    ++waiter_count_;
-  }
+  void wait_space(sim::Action cb) { waiters_.push_back(std::move(cb)); }
 
   bool empty() const { return count_ == 0; }
   bool full() const { return count_ >= capacity_; }
@@ -145,19 +140,6 @@ class CellFifo {
   std::size_t wrap(std::size_t i) const {
     return i >= capacity_ ? i - capacity_ : i;
   }
-  std::size_t wrap_waiter(std::size_t i) const {
-    return i >= waiters_.size() ? i - waiters_.size() : i;
-  }
-
-  void grow_waiters() {
-    std::vector<sim::Action> bigger(
-        waiters_.empty() ? 4 : waiters_.size() * 2);
-    for (std::size_t i = 0; i < waiter_count_; ++i) {
-      bigger[i] = std::move(waiters_[wrap_waiter(waiter_head_ + i)]);
-    }
-    waiters_ = std::move(bigger);
-    waiter_head_ = 0;
-  }
 
   sim::Simulator& sim_;
   std::size_t capacity_;
@@ -172,9 +154,7 @@ class CellFifo {
   sim::Tracer* tracer_ = nullptr;
   std::uint16_t trace_source_ = 0;
   std::function<void()> on_push_;
-  std::vector<sim::Action> waiters_;  // ring: [waiter_head_, +count)
-  std::size_t waiter_head_ = 0;
-  std::size_t waiter_count_ = 0;
+  sim::Ring<sim::Action> waiters_;
 };
 
 }  // namespace hni::atm

@@ -1,6 +1,5 @@
-// Two-rate three-color metering (trTCM, RFC 2698 profile) and its
-// single-rate sibling (srTCM, RFC 2697), in the token-bucket style of
-// DPDK's rte_meter.
+// Two-rate three-color metering (trTCM, RFC 2698 profile), in the
+// token-bucket style of DPDK's rte_meter.
 //
 // A meter classifies each cell against a traffic contract instead of
 // the binary conform/violate verdict a single GCRA gives:
@@ -11,9 +10,6 @@
 //   if the committed bucket is empty it is YELLOW (bursting above the
 //   sustainable rate but inside the peak: UPC tags it CLP=1, so WRED's
 //   lower band sheds it first under pressure). Otherwise it is GREEN.
-//
-//   srTCM: one rate (CIR) with a committed burst (CBS) and an excess
-//   burst (EBS) drawn down only after the committed bucket empties.
 //
 // This is the ATM VBR story (sustainable rate + peak rate) expressed
 // as buckets rather than the equivalent dual GCRA: SCR maps to CIR,
@@ -93,65 +89,6 @@ class TrTcm {
   double pbs_ = 1.0;
   double tc_ = 1.0;  // committed bucket level, starts full
   double tp_ = 1.0;  // peak bucket level, starts full
-  sim::Time last_ = 0;
-};
-
-/// Single-rate three-color meter: CIR with committed (CBS) and excess
-/// (EBS) burst buckets. Excess tokens accumulate only while the
-/// committed bucket is full, per RFC 2697.
-struct SrTcmConfig {
-  double cir_cells_per_second = 0.0;
-  double cbs_cells = 1.0;
-  double ebs_cells = 1.0;
-};
-
-class SrTcm {
- public:
-  SrTcm() = default;
-  explicit SrTcm(const SrTcmConfig& cfg)
-      : cir_per_ps_(cfg.cir_cells_per_second / sim::kSecond),
-        cbs_(std::max(cfg.cbs_cells, 1.0)),
-        ebs_(std::max(cfg.ebs_cells, 1.0)),
-        tc_(cbs_),
-        te_(ebs_) {}
-
-  MeterColor color(sim::Time now) {
-    refill(now);
-    if (tc_ >= 1.0) {
-      tc_ -= 1.0;
-      return MeterColor::kGreen;
-    }
-    if (te_ >= 1.0) {
-      te_ -= 1.0;
-      return MeterColor::kYellow;
-    }
-    return MeterColor::kRed;
-  }
-
-  double committed_tokens() const { return tc_; }
-  double excess_tokens() const { return te_; }
-
- private:
-  void refill(sim::Time now) {
-    const sim::Time dt = now - last_;
-    if (dt <= 0) return;
-    last_ = now;
-    double add = static_cast<double>(dt) * cir_per_ps_;
-    const double room_c = cbs_ - tc_;
-    if (add <= room_c) {
-      tc_ += add;
-    } else {
-      // Committed bucket fills first; the spill feeds the excess bucket.
-      tc_ = cbs_;
-      te_ = std::min(ebs_, te_ + (add - room_c));
-    }
-  }
-
-  double cir_per_ps_ = 0.0;
-  double cbs_ = 1.0;
-  double ebs_ = 1.0;
-  double tc_ = 1.0;
-  double te_ = 1.0;
   sim::Time last_ = 0;
 };
 

@@ -7,13 +7,11 @@
 
 namespace hni::atm {
 
-LineRate sts3c() { return LineRate{"STS-3c", 155.52e6, 149.760e6}; }
+LineRate sts3c() { return LineRate{155.52e6, 149.760e6}; }
 
-LineRate sts12c() { return LineRate{"STS-12c", 622.08e6, 599.040e6}; }
+LineRate sts12c() { return LineRate{622.08e6, 599.040e6}; }
 
-LineRate raw_rate(double bps, std::string name) {
-  return LineRate{std::move(name), bps, bps};
-}
+LineRate raw_rate(double bps) { return LineRate{bps, bps}; }
 
 TxFramer::TxFramer(sim::Simulator& sim, LineRate rate)
     : sim_(sim), rate_(std::move(rate)) {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "atm/cell.hpp"
 #include "atm/fifo.hpp"
@@ -30,7 +29,6 @@ namespace hni::atm {
 
 /// A physical line description.
 struct LineRate {
-  std::string name;
   double line_bps = 0.0;     // gross line rate (reporting only)
   double payload_bps = 0.0;  // cell payload capacity actually paced on
 
@@ -52,7 +50,7 @@ LineRate sts3c();
 LineRate sts12c();
 
 /// A custom rate with negligible framing overhead (for sweeps).
-LineRate raw_rate(double bps, std::string name = "raw");
+LineRate raw_rate(double bps);
 
 /// Transmit framer: drains one TX FIFO onto the line, one cell per
 /// slot. Slot boundaries sit at start + k*slot from start() on. At a

@@ -21,8 +21,6 @@ namespace hni::core {
 struct StationConfig {
   std::string name = "station";
   bus::BusConfig bus{};
-  std::size_t host_memory_bytes = 16u << 20;  // 16 MiB
-  std::size_t host_page_bytes = 4096;
   nic::NicConfig nic{};
   host::HostConfig host{};
 };

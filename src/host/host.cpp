@@ -35,7 +35,6 @@ bool Host::send(atm::VcId vc, aal::AalType aal, aal::Bytes sdu) {
   if (inflight_ >= config_.max_inflight_tx) return false;
   ++inflight_;
   sent_.add();
-  bytes_tx_.add(sdu.size());
 
   // Stage the SDU into pinned host pages (functional copy; the CPU cost
   // of the syscall + staging is charged to the host engine).
@@ -86,7 +85,6 @@ void Host::on_rx(nic::RxDelivery d) {
     aal::Bytes sdu = memory_.gather(d.sg, d.len);
     nic_.rx().repost(d.sg);  // replenish the posted budget
     received_.add();
-    bytes_rx_.add(sdu.size());
     RxInfo info;
     info.vc = d.vc;
     info.first_cell_time = d.first_cell_time;

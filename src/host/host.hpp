@@ -32,7 +32,7 @@ struct HostCosts {
 };
 
 struct HostConfig {
-  proc::EngineConfig cpu{"host-cpu", 25e6, 1.25};  // ~20 MIPS R3000 class
+  proc::EngineConfig cpu{25e6, 1.25};  // ~20 MIPS R3000 class
   HostCosts costs{};
   std::size_t max_inflight_tx = 32;  // driver-visible send window
   /// Receive buffer budget the driver posts to the interface, in host
@@ -70,7 +70,6 @@ class Host {
   void set_vc_handler(atm::VcId vc, RxHandler handler) {
     vc_handlers_[vc] = std::move(handler);
   }
-  void clear_vc_handler(atm::VcId vc) { vc_handlers_.erase(vc); }
   void set_tx_ready(ReadyFn ready) { tx_ready_ = std::move(ready); }
 
   double cpu_utilization() const { return cpu_.utilization(sim_.now()); }
@@ -78,8 +77,6 @@ class Host {
 
   std::uint64_t sdus_sent() const { return sent_.value(); }
   std::uint64_t sdus_received() const { return received_.value(); }
-  std::uint64_t bytes_sent() const { return bytes_tx_.value(); }
-  std::uint64_t bytes_received() const { return bytes_rx_.value(); }
   std::uint64_t interrupts_taken() const { return interrupts_.value(); }
   std::size_t inflight_tx() const { return inflight_; }
 
@@ -107,8 +104,6 @@ class Host {
 
   sim::Counter sent_;
   sim::Counter received_;
-  sim::Counter bytes_tx_;
-  sim::Counter bytes_rx_;
   sim::Counter interrupts_;
 };
 

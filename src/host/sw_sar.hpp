@@ -34,7 +34,7 @@
 namespace hni::host {
 
 struct SwSarConfig {
-  proc::EngineConfig cpu{"host-cpu", 25e6, 1.25};
+  proc::EngineConfig cpu{25e6, 1.25};
   HostCosts costs{};
   std::uint32_t sar_tx_per_cell = 30;  // header/trailer fields, loop
   std::uint32_t sar_rx_per_cell = 40;  // demux, state, append

@@ -9,6 +9,14 @@
 
 namespace hni::net {
 
+namespace {
+// While a registered input link (set_input_link) is down, the switch
+// inserts an AIS cell per affected route every kAisPeriod — the I.610
+// hop-by-hop alarm a failed trunk's downstream switch originates so
+// endpoints learn of a mid-path failure in cell time.
+constexpr sim::Time kAisPeriod = sim::microseconds(500);
+}  // namespace
+
 Switch::Switch(sim::Simulator& sim, SwitchConfig config)
     : sim_(sim), config_(config), outputs_(config.ports),
       inputs_(config.ports), hec_(config.ports),
@@ -129,9 +137,9 @@ void Switch::set_input_link(std::size_t in_port, Link& link) {
     if (port.down == down) return;
     port.down = down;
     ++port.epoch;  // kills any timer armed for the previous state
-    if (down && config_.ais_period > 0) insert_ais(in_port, port.epoch);
+    if (down) insert_ais(in_port, port.epoch);
   });
-  if (ip.down && config_.ais_period > 0) insert_ais(in_port, ++ip.epoch);
+  if (ip.down) insert_ais(in_port, ++ip.epoch);
 }
 
 void Switch::insert_ais(std::size_t in_port, std::uint64_t epoch) {
@@ -162,7 +170,7 @@ void Switch::insert_ais(std::size_t in_port, std::uint64_t epoch) {
     }
     inject_control(*entry, std::move(wire));
   });
-  sim_.after(config_.ais_period,
+  sim_.after(kAisPeriod,
              [this, in_port, epoch] { insert_ais(in_port, epoch); },
              sim::Layer::kOam);
 }
@@ -483,14 +491,14 @@ void Switch::abr_account(const VcEntry& entry, OutputPort& out) {
     auto [count, inserted] = m.per_vc.try_emplace(atm::vc_label(entry.out_vc));
     ++*count;
   }
-  if (now - m.window_start < config_.abr.interval) return;
+  if (now - m.window_start < kAbrInterval) return;
 
   // Close the window: turn raw counts into the rate snapshot that
   // backward RM stamping reads until the next window completes.
   const double secs = sim::to_seconds(now - m.window_start);
   const double total_rate = static_cast<double>(m.total_cells) / secs;
   const double abr_rate = static_cast<double>(m.abr_cells) / secs;
-  const double target = config_.abr.target_utilization * port_cells_per_s_;
+  const double target = kAbrTargetUtilization * port_cells_per_s_;
   // Capacity left for the elastic class after the inelastic load, with
   // a small floor so a fully CBR/VBR-loaded port still grants ABR a
   // trickle to probe with instead of an ER of zero.

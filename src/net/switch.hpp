@@ -91,6 +91,14 @@ struct WredConfig {
   std::uint64_t seed = 0xEC4;
 };
 
+/// Fraction of the port rate ERICA aims to fill; the slack absorbs
+/// measurement noise so queues drain instead of sitting full.
+inline constexpr double kAbrTargetUtilization = 0.9;
+/// Measurement window: per-port input rate, ABR share and per-VC
+/// rates are averaged over this interval (advanced lazily on
+/// arrivals — no standing timer, so idle runs still drain).
+inline constexpr sim::Time kAbrInterval = sim::milliseconds(1);
+
 struct SwitchConfig {
   std::size_t ports = 2;
   std::size_t queue_cells = 128;   // per-output shared pool, in cells
@@ -132,22 +140,10 @@ struct SwitchConfig {
   /// a saturated pool instead of being tail-dropped by the very
   /// congestion it reports. 0 gives control cells no protection.
   std::size_t control_reserve_cells = 8;
-  /// While a registered input link (set_input_link) is down, the switch
-  /// inserts an AIS cell per affected route every ais_period — the
-  /// I.610 hop-by-hop alarm a failed trunk's downstream switch
-  /// originates so endpoints learn of a mid-path failure in cell time.
-  /// 0 disables insertion.
-  sim::Time ais_period = sim::microseconds(500);
-  /// ERICA-style explicit-rate ABR loop (see AbrConfig).
+  /// ERICA-style explicit-rate ABR loop (kAbrTargetUtilization,
+  /// kAbrInterval).
   struct AbrConfig {
     bool enabled = false;
-    /// Fraction of the port rate ERICA aims to fill; the slack absorbs
-    /// measurement noise so queues drain instead of sitting full.
-    double target_utilization = 0.9;
-    /// Measurement window: per-port input rate, ABR share and per-VC
-    /// rates are averaged over this interval (advanced lazily on
-    /// arrivals — no standing timer, so idle runs still drain).
-    sim::Time interval = sim::milliseconds(1);
   } abr{};
   /// Output clock oscillator offset in ppm; nullopt lets core::Testbed
   /// assign a realistic random value.
@@ -446,7 +442,7 @@ class Switch {
   void stamp_backward_rm(std::size_t in_port, const atm::CellHeader& h,
                          WireCell& cell);
   /// One AIS insertion round for a down input port; re-arms itself on
-  /// ais_period while the port's epoch matches.
+  /// kAisPeriod (switch.cpp) while the port's epoch matches.
   void insert_ais(std::size_t in_port, std::uint64_t epoch);
   /// Enqueues a switch-originated control cell on entry's output queue
   /// (queue stage directly: offered + reserved-headroom admission).

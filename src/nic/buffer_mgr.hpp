@@ -23,14 +23,15 @@
 
 namespace hni::nic {
 
+// Per-container bytes beyond the cell payloads: valid bitmap + link.
+inline constexpr std::size_t kContainerOverheadBytes = 4;
+
 struct BoardMemoryConfig {
   std::size_t containers = 2048;      // pool size
   std::size_t cells_per_container = 32;
-  std::size_t container_overhead_bytes = 4;  // valid bitmap + link
 
   std::size_t container_bytes() const {
-    return cells_per_container * atm::kPayloadSize +
-           container_overhead_bytes;
+    return cells_per_container * atm::kPayloadSize + kContainerOverheadBytes;
   }
   std::size_t total_bytes() const { return containers * container_bytes(); }
 };
@@ -67,11 +68,6 @@ class BoardMemory {
   }
 
   std::size_t containers_in_use() const { return in_use_; }
-  std::size_t containers_free() const {
-    const std::size_t cap = effective_containers();
-    return in_use_ >= cap ? 0 : cap - in_use_;
-  }
-  double mean_in_use() const { return usage_.mean(sim_.now()); }
   double peak_in_use() const { return usage_.max(); }
   std::uint64_t alloc_failures() const { return failures_.value(); }
   /// Cumulative container allocations / releases. Conservation:

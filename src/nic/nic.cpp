@@ -16,6 +16,15 @@ Nic::Nic(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
 }
 
 namespace {
+// EFCI marks on a VC within kMarkWindow that trigger one backward RM.
+constexpr std::uint32_t kMarksPerRm = 8;
+constexpr sim::Time kMarkWindow = sim::microseconds(250);
+// Minimum gap between RM cells per VC (paces the backward stream).
+constexpr sim::Time kRmMinGap = sim::microseconds(250);
+// Multiplicative increase applied per quiet recovery period.
+constexpr double kRateIncrease = 1.5;
+constexpr double kMinRateFactor = 1.0 / 64;
+
 // Backward resource-management cell (ABR-flavoured), layout per
 // atm/rm.hpp: protocol id, flags (CI + BN), and an explicit-rate field
 // born unlimited — switches running ERICA tighten it in flight.
@@ -34,11 +43,10 @@ atm::Cell make_rm_cell(atm::VcId vc, bool congestion) {
 }  // namespace
 
 void Nic::on_efci(atm::VcId vc) {
-  const CongestionControlConfig& cc = config_.congestion;
-  if (!cc.enabled) return;
+  if (!config_.congestion.enabled) return;
   VcRecord& rec = record(vc);
   const sim::Time now = sim_->now();
-  if (!rec.congestion || now - rec.window_start > cc.window) {
+  if (!rec.congestion || now - rec.window_start > kMarkWindow) {
     // A stale window's marks do not accumulate: sustained congestion,
     // not a lone straggler cell, is what triggers feedback.
     rec.congestion = true;
@@ -46,8 +54,8 @@ void Nic::on_efci(atm::VcId vc) {
     rec.marks = 0;
   }
   ++rec.marks;
-  if (rec.marks < cc.marks_per_rm) return;
-  if (rec.rm_ever_sent && now - rec.last_rm_sent < cc.rm_min_gap) return;
+  if (rec.marks < kMarksPerRm) return;
+  if (rec.rm_ever_sent && now - rec.last_rm_sent < kRmMinGap) return;
   rec.marks = 0;
   rec.window_start = now;
   rec.rm_ever_sent = true;
@@ -83,7 +91,7 @@ void Nic::on_rm(atm::VcId vc, const atm::Cell& cell) {
     // the path minimum already, so each RM cell is authoritative.
     const double line = config_.line.cells_per_second();
     const double factor = std::clamp(static_cast<double>(er) / line,
-                                     cc.min_rate_factor, 1.0);
+                                     kMinRateFactor, 1.0);
     if (factor < 1.0) rec.last_congestion = sim_->now();
     if (factor < current) throttle_events_.add();
     if (factor != current) tx_->set_rate_factor(vc, factor);
@@ -92,7 +100,7 @@ void Nic::on_rm(atm::VcId vc, const atm::Cell& cell) {
   }
 
   rec.last_congestion = sim_->now();
-  const double next = std::max(cc.min_rate_factor, current * cc.decrease);
+  const double next = std::max(kMinRateFactor, current * cc.decrease);
   if (next < current) {
     throttle_events_.add();
     tx_->set_rate_factor(vc, next);
@@ -107,11 +115,10 @@ void Nic::arm_recovery(VcRecord& rec, atm::VcId vc) {
 }
 
 void Nic::schedule_recovery(atm::VcId vc, std::uint64_t token) {
-  sim_->after(config_.congestion.recovery_period, [this, vc, token] {
+  sim_->after(kRecoveryPeriod, [this, vc, token] {
     VcRecord* rec = armed(vc, &VcRecord::recovery_token, token);
     if (rec == nullptr) return;  // VC closed meanwhile
-    const CongestionControlConfig& cc = config_.congestion;
-    if (sim_->now() - rec->last_congestion < cc.recovery_period) {
+    if (sim_->now() - rec->last_congestion < kRecoveryPeriod) {
       // Congestion refreshed the quiet timer: try again later.
       schedule_recovery(vc, token);
       return;
@@ -121,7 +128,7 @@ void Nic::schedule_recovery(atm::VcId vc, std::uint64_t token) {
       rec->recovery_token = 0;
       return;
     }
-    const double next = std::min(1.0, factor * cc.increase);
+    const double next = std::min(1.0, factor * kRateIncrease);
     recoveries_.add();
     tx_->set_rate_factor(vc, next);
     if (next >= 1.0) {
@@ -153,7 +160,7 @@ void Nic::start_cc(atm::VcId vc) {
   VcRecord& rec = record(vc);
   rec.last_arrival = sim_->now();
   const std::uint64_t token = rec.cc_token = ++last_token_;
-  sim_->after(config_.cc.period, [this, vc, token] { cc_tick(vc, token); },
+  sim_->after(kCcPeriod, [this, vc, token] { cc_tick(vc, token); },
               sim::Layer::kOam);
 }
 
@@ -202,7 +209,7 @@ void Nic::cc_tick(atm::VcId vc, std::uint64_t token) {
   // Sink role: declare LOC once the silence crosses the threshold —
   // unless AIS stands, which already names the failure hop-by-hop.
   const auto threshold = static_cast<sim::Time>(
-      static_cast<double>(config_.cc.period) * config_.cc.loss_multiplier);
+      static_cast<double>(kCcPeriod) * kCcLossMultiplier);
   if (!rec->loc && !rec->ais_standing &&
       now - rec->last_arrival > threshold) {
     rec->loc = true;
@@ -210,7 +217,7 @@ void Nic::cc_tick(atm::VcId vc, std::uint64_t token) {
     trace_cc(vc, true);
     notify_defect(vc, Defect::kLoc, true);
   }
-  sim_->after(config_.cc.period, [this, vc, token] { cc_tick(vc, token); },
+  sim_->after(kCcPeriod, [this, vc, token] { cc_tick(vc, token); },
               sim::Layer::kOam);
 }
 
@@ -284,7 +291,7 @@ void Nic::on_oam(atm::VcId vc, const atm::OamCell& oam) {
       // indications keep arriving.
       VcRecord* rec = records_.find(atm::vc_label(vc)).value;
       if (rec == nullptr || rec->cc_token == 0) break;
-      rec->ais_until = sim_->now() + config_.cc.ais_hold;
+      rec->ais_until = sim_->now() + kAisHold;
       if (!rec->ais_standing) {
         rec->ais_standing = true;
         notify_defect(vc, Defect::kAis, true);
@@ -298,10 +305,10 @@ void Nic::on_oam(atm::VcId vc, const atm::OamCell& oam) {
     case atm::OamFunction::kRdi: {
       // The far end cannot hear us: pause the VC rather than pour
       // cells into a dead path. Each RDI extends the hold; the VC
-      // resumes rdi_hold after the indications stop.
+      // resumes kRdiHold after the indications stop.
       rdi_received_.add();
       VcRecord& rec = record(vc);
-      rec.rdi_until = sim_->now() + config_.rdi_hold;
+      rec.rdi_until = sim_->now() + kRdiHold;
       tx_->pause_vc(vc);
       if (rec.rdi_token == 0) {
         rec.rdi_token = ++last_token_;

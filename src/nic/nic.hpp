@@ -24,18 +24,8 @@ namespace hni::nic {
 /// abr_loop rows, mux-overload-on-* among them, turn it on).
 struct CongestionControlConfig {
   bool enabled = false;
-  /// EFCI marks on a VC within `window` that trigger one backward RM.
-  std::uint32_t marks_per_rm = 8;
-  sim::Time window = sim::microseconds(250);
-  /// Minimum gap between RM cells per VC (paces the backward stream).
-  sim::Time rm_min_gap = sim::microseconds(250);
   /// Multiplicative decrease applied per congestion RM received.
   double decrease = 0.75;
-  /// Multiplicative increase applied per quiet recovery period.
-  double increase = 1.5;
-  double min_rate_factor = 1.0 / 64;
-  /// RM-free time on a throttled VC before the rate steps back up.
-  sim::Time recovery_period = sim::milliseconds(1);
   /// Converge the shaper to the explicit rate carried in backward RM
   /// cells (the ERICA loop: each switch on the path stamps the min of
   /// its grant, so the source lands on its max-min fair share directly)
@@ -44,21 +34,28 @@ struct CongestionControlConfig {
   bool explicit_rate = false;
 };
 
+/// RM-free time on a throttled VC before the rate steps back up.
+inline constexpr sim::Time kRecoveryPeriod = sim::milliseconds(1);
+
 /// OAM F5 continuity checking (I.610): while a VC is CC-activated, the
 /// source injects a periodic heartbeat cell and the sink declares
 /// loss-of-continuity (LOC) when *nothing* — data, OAM or RM — arrives
-/// for loss_multiplier periods. A standing AIS suppresses the LOC
+/// for kCcLossMultiplier periods. A standing AIS suppresses the LOC
 /// declaration: the defect is already alarmed hop-by-hop, and LOC would
 /// double-report the same failure to the protection plane.
 struct ContinuityCheckConfig {
   bool enabled = false;
-  /// Heartbeat injection period per CC-activated VC.
-  sim::Time period = sim::microseconds(200);
-  /// Silence threshold, in periods, before LOC is declared.
-  double loss_multiplier = 3.5;
-  /// How long one received AIS cell suppresses LOC declaration.
-  sim::Time ais_hold = sim::milliseconds(2);
 };
+
+/// Heartbeat injection period per CC-activated VC.
+inline constexpr sim::Time kCcPeriod = sim::microseconds(200);
+/// Silence threshold, in periods, before LOC is declared.
+inline constexpr double kCcLossMultiplier = 3.5;
+/// How long one received AIS cell suppresses LOC declaration.
+inline constexpr sim::Time kAisHold = sim::milliseconds(2);
+/// An RDI-paused VC resumes this long after the last RDI cell —
+/// alarm clears when the defect indications stop arriving.
+inline constexpr sim::Time kRdiHold = sim::milliseconds(2);
 
 struct NicConfig {
   TxPathConfig tx{};
@@ -71,9 +68,6 @@ struct NicConfig {
   /// nominal is one per second; compressed for simulation timescales).
   /// 0 disables alarm insertion (recovery off).
   sim::Time ais_period = sim::microseconds(500);
-  /// An RDI-paused VC resumes this long after the last RDI cell —
-  /// alarm clears when the defect indications stop arriving.
-  sim::Time rdi_hold = sim::milliseconds(2);
   /// Closed-loop EFCI/RM congestion control (off by default).
   CongestionControlConfig congestion{};
   /// Per-VC OAM continuity checking (off by default).

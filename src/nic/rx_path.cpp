@@ -8,6 +8,12 @@
 
 namespace hni::nic {
 
+namespace {
+// Pre-sizes the VC table's index (it grows past this on demand; probe
+// cost is measured, not configured).
+constexpr std::size_t kVcBuckets = 64;
+}  // namespace
+
 RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
                const proc::FirmwareProfile& firmware, RxPathConfig config,
                Nic* owner)
@@ -20,7 +26,7 @@ RxPath::RxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
       engine_(sim, config.engine, sim::Layer::kRxEngine),
       fifo_(sim, config.fifo_cells),
       board_(sim, config.board),
-      vcs_(config.vc_buckets),
+      vcs_(kVcBuckets),
       interrupts_(sim, config.interrupt_coalesce),
       owner_(owner),
       posted_pages_(memory.pages_free()) {

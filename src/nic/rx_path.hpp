@@ -74,12 +74,9 @@ struct RxDelivery {
 };
 
 struct RxPathConfig {
-  proc::EngineConfig engine{"rx-engine", 25e6, 1.0};
+  proc::EngineConfig engine{25e6, 1.0};
   std::size_t fifo_cells = 64;
   BoardMemoryConfig board{};
-  /// Pre-sizes the VC table's index (it grows past this on demand; the
-  /// name is historical — probe cost is measured, not configured).
-  std::size_t vc_buckets = 64;
   sim::Time interrupt_coalesce = 0;
   /// Landing DMA retry/backoff policy (max_retries = 0 disables
   /// recovery: one failed attempt loses the PDU).

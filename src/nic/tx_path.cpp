@@ -15,7 +15,6 @@ TxPath::TxPath(sim::Simulator& sim, bus::Bus& bus, bus::HostMemory& memory,
                const proc::FirmwareProfile& firmware, TxPathConfig config,
                atm::LineRate line)
     : sim_(sim),
-      memory_(memory),
       dma_(bus, memory, config.dma),
       firmware_(firmware),
       config_(config),
@@ -264,14 +263,6 @@ void TxPath::stage_pdu(StagedPdu* slot) {
   const TxDescriptor& d = slot->descriptor;
   if (slot->bytes.size() < d.len) slot->bytes.resize(d.len);
   const std::span<std::uint8_t> sdu(slot->bytes.data(), d.len);
-  if (config_.dma_mode == TxDmaMode::kPerCell) {
-    // Cut-through: segmentation is functional up front (the bytes are
-    // already in host memory); the bus is charged one 48-octet transfer
-    // per cell as emission walks the PDU.
-    memory_.gather(d.sg, sdu);
-    finish_staging(slot);
-    return;
-  }
   // Stage the whole SDU across the bus into the slot, then build the
   // CPCS framing.
   const sim::Time issued = sim_.now();
@@ -403,15 +394,7 @@ void TxPath::emit_one(atm::VcId vc) {
   profiler_.add(ph_header_, engine_.cost(instr - crc_instr));
   if (crc_instr > 0) profiler_.add(ph_crc_, engine_.cost(crc_instr));
 
-  // Per-cell DMA window (cut-through mode only).
-  const std::size_t per_cell = aal::payload_per_cell(d.aal);
-  const std::size_t off = next * per_cell;
-  const std::size_t dma_len =
-      off < d.len ? std::min(per_cell, d.len - off) : 0;
-  const bool per_cell_dma =
-      config_.dma_mode == TxDmaMode::kPerCell && dma_len > 0;
-
-  auto push_cell = [this, vc]() mutable {
+  engine_.execute(instr, [this, vc] {
     VcState& vs = vc_state(vc);
     StagedPdu& pdu = *vs.head;
     atm::Cell cell = pdu.cells[pdu.next];
@@ -440,31 +423,7 @@ void TxPath::emit_one(atm::VcId vc) {
                       maybe_stage_next();
                     });
     maybe_stage_next();
-  };
-
-  if (per_cell_dma) {
-    // The payload window crosses the bus as its own transfer, into the
-    // slot's board copy of the SDU; cells past the SDU (pad/trailer
-    // cells) cost no bus time.
-    const sim::Time issued = sim_.now();
-    dma_.read(d.sg, off,
-              std::span<std::uint8_t>(pdu.bytes.data() + off, dma_len),
-              [this, instr, issued, push_cell = std::move(push_cell)] {
-                profiler_.add(ph_dma_wait_, sim_.now() - issued);
-                engine_.execute(instr, push_cell);
-              },
-              [this, vc] {
-                // Mid-PDU DMA gave up: the rest of this PDU can never
-                // be cut — abandon it and move the scheduler along.
-                aborted_.add();
-                complete(pop_staged(vc_state(vc)));
-                emit_busy_ = false;
-                schedule_emission();
-                maybe_stage_next();
-              });
-    return;
-  }
-  engine_.execute(instr, std::move(push_cell));
+  });
 }
 
 }  // namespace hni::nic

@@ -11,11 +11,10 @@
 //                                            |
 //                                     SONET framer (line rate)
 //
-// The host writes the SDU once; the board DMAs it across the bus once
-// (whole-PDU staging by default, per-cell cut-through as an ablation),
-// the engine walks it producing cells, and the framer drains the FIFO
-// at line rate. When the FIFO fills, the engine stalls — transmit
-// applies backpressure, it never drops.
+// The host writes the SDU once; the board stages it across the bus in
+// one whole-PDU DMA, the engine walks it producing cells, and the
+// framer drains the FIFO at line rate. When the FIFO fills, the engine
+// stalls — transmit applies backpressure, it never drops.
 //
 // Two properties beyond the minimal pipeline:
 //
@@ -69,19 +68,13 @@ struct TxDescriptor {
   std::uint64_t cookie = 0;       // host correlation id
 };
 
-enum class TxDmaMode : std::uint8_t {
-  kWholePdu,  // one S/G DMA stages the PDU in board memory (default)
-  kPerCell,   // 48-octet DMA per cell (cut-through ablation)
-};
-
 struct TxPathConfig {
-  proc::EngineConfig engine{"tx-engine", 25e6, 1.0};
+  proc::EngineConfig engine{25e6, 1.0};
   std::size_t ring_entries = 32;
   std::size_t fifo_cells = 64;
   std::size_t staged_pdus = 4;     // board staging slots (total)
   std::size_t staging_concurrency = 2;  // staging DMAs in flight (the
                                         // bus arbitrates burst-wise)
-  TxDmaMode dma_mode = TxDmaMode::kWholePdu;
   /// Staging DMA retry/backoff policy (max_retries = 0 disables
   /// recovery: one failed attempt aborts the PDU).
   bus::DmaConfig dma{};
@@ -176,7 +169,7 @@ class TxPath {
 
   std::uint64_t pdus_sent() const { return pdus_.value(); }
   std::uint64_t cells_built() const { return cells_.value(); }
-  /// PDUs abandoned because their staging or per-cell DMA gave up.
+  /// PDUs abandoned because their staging DMA gave up.
   std::uint64_t pdus_aborted() const { return aborted_.value(); }
   /// Posts dropped (with completion) because the VC was paused.
   std::uint64_t pdus_dropped_paused() const { return paused_drop_.value(); }
@@ -259,7 +252,6 @@ class TxPath {
   StagedPdu* pop_staged(VcState& vs);
 
   sim::Simulator& sim_;
-  bus::HostMemory& memory_;
   bus::DmaEngine dma_;
   proc::FirmwareProfile firmware_;
   TxPathConfig config_;

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
@@ -34,7 +33,6 @@
 namespace hni::proc {
 
 struct EngineConfig {
-  std::string name = "engine";
   double clock_hz = 25e6;  // 80960CA shipped at 25/33 MHz
   double cpi = 1.0;        // sustained cycles per instruction (hot loops)
 };

@@ -6,6 +6,16 @@
 
 namespace hni::sig {
 
+namespace {
+// SETUP retransmit interval.
+constexpr sim::Time kT303 = sim::microseconds(600);
+// Overall await-CONNECT deadline.
+constexpr sim::Time kT310 = sim::milliseconds(8);
+// RELEASE retransmit interval and retry bound.
+constexpr sim::Time kT308 = sim::microseconds(600);
+constexpr unsigned kT308Retries = 4;
+}  // namespace
+
 CallControl::CallControl(core::Station& station, std::uint16_t my_party,
                          CallControlConfig config, sim::Tracer* tracer,
                          std::optional<sim::MetricScope> metrics,
@@ -129,7 +139,7 @@ std::uint32_t CallControl::place_call(std::uint16_t called,
   if (config_.retransmit) {
     arm_retry(ref, 303);
     calls_.at(ref).deadline_timer =
-        station_.sim().after(config_.t310, [this, ref] { on_t310(ref); },
+        station_.sim().after(kT310, [this, ref] { on_t310(ref); },
                              sim::Layer::kSig);
   }
   return ref;
@@ -228,7 +238,7 @@ CallControl::Call CallControl::clear_call(
 void CallControl::arm_retry(std::uint32_t call_id, unsigned timer_no) {
   auto it = calls_.find(call_id);
   if (it == calls_.end()) return;
-  const sim::Time period = timer_no == 303 ? config_.t303 : config_.t308;
+  const sim::Time period = timer_no == 303 ? kT303 : kT308;
   it->second.retry_timer = station_.sim().after(
       period, [this, call_id, timer_no] { on_retry_timer(call_id, timer_no); },
       sim::Layer::kSig);
@@ -246,7 +256,7 @@ void CallControl::on_retry_timer(std::uint32_t call_id, unsigned timer_no) {
   timer_expiries_.add();
   trace(sim::TraceEventId::kSigTimerExpiry, timer_no, 0, call_id);
   const unsigned max_retries =
-      timer_no == 303 ? config_.t303_retries : config_.t308_retries;
+      timer_no == 303 ? config_.t303_retries : kT308Retries;
   if (call.retries < max_retries) {
     ++call.retries;
     retransmits_.add();
@@ -300,7 +310,7 @@ void CallControl::retry_setup(std::uint32_t call_id) {
   if (config_.retransmit) {
     arm_retry(call_id, 303);
     call.deadline_timer = station_.sim().after(
-        config_.t310, [this, call_id] { on_t310(call_id); }, sim::Layer::kSig);
+        kT310, [this, call_id] { on_t310(call_id); }, sim::Layer::kSig);
   }
 }
 

@@ -45,18 +45,15 @@
 
 namespace hni::sig {
 
-/// Protocol-timer policy. Defaults are sized for the simulated UNI: a
-/// clean setup round-trip is ~150 us, so retry intervals are a few
-/// round-trips and the overall deadline covers every bounded retry.
+/// Protocol-timer policy. The timer periods (T303, T308, T310 in
+/// call_control.cpp) are sized for the simulated UNI: a clean setup
+/// round-trip is ~150 us, so retry intervals are a few round-trips and
+/// the overall deadline covers every bounded retry.
 struct CallControlConfig {
   /// Master switch for all timers (the no-recovery ablation point):
   /// false restores fire-and-forget signalling.
   bool retransmit = true;
-  sim::Time t303 = sim::microseconds(600);  // SETUP retransmit interval
   unsigned t303_retries = 4;
-  sim::Time t310 = sim::milliseconds(8);    // overall await-CONNECT deadline
-  sim::Time t308 = sim::microseconds(600);  // RELEASE retransmit interval
-  unsigned t308_retries = 4;
   /// Retry-with-backoff for SETUPs the network refuses for lack of
   /// resources (CAC). 0 disables: the refusal fails the call at once.
   /// Each attempt doubles the wait, so capacity freed by a released
@@ -77,7 +74,6 @@ class MessageTap {
 
   /// Bernoulli loss applied to every message (the chaos/bench knob).
   void set_drop_rate(double p) { drop_rate_ = p; }
-  double drop_rate() const { return drop_rate_; }
 
   /// One-shot faults, consumed in order by subsequent sends.
   void drop_next(unsigned n = 1) { drop_next_ += n; }

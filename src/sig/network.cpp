@@ -8,6 +8,19 @@
 
 namespace hni::sig {
 
+namespace {
+// CDVT granted by installed policers, as a multiple of the cell slot.
+constexpr double kPoliceCdvtSlots = 10.0;
+// Burst depths (in cells) of the trTCM meter installed for VBR calls
+// (SETUPs carrying an SCR alongside the PCR): committed and peak
+// bucket sizes respectively.
+constexpr std::size_t kMeterCbsCells = 10;
+constexpr std::size_t kMeterPbsCells = 10;
+// RESTART retransmit interval and retry bound (T316).
+constexpr sim::Time kT316 = sim::milliseconds(1);
+constexpr unsigned kT316Retries = 16;
+}  // namespace
+
 SignalingNetwork::SignalingNetwork(core::Testbed& bed,
                                    std::vector<net::Switch*> switches,
                                    std::size_t agent_switch,
@@ -544,14 +557,14 @@ void SignalingNetwork::program_routes(AgentCall& call) {
     atm::TrTcmConfig meter;
     meter.cir_cells_per_second = call.scr;
     meter.pir_cells_per_second = call.pcr;
-    meter.cbs_cells = config_.meter_cbs_cells;
-    meter.pbs_cells = config_.meter_pbs_cells;
+    meter.cbs_cells = kMeterCbsCells;
+    meter.pbs_cells = kMeterPbsCells;
     switches_[caller.sw]->add_meter(caller.port, call.caller_vc, meter);
     switches_[callee.sw]->add_meter(callee.port, call.callee_vc, meter);
   } else if (call.pcr > 0.0) {
     for (const Endpoint* e : {&caller, &callee}) {
       const sim::Time cdvt = static_cast<sim::Time>(
-          config_.police_cdvt_slots *
+          kPoliceCdvtSlots *
           static_cast<double>(
               switches_[e->sw]->config().port_rate.cell_slot()));
       switches_[e->sw]->add_policer(
@@ -642,7 +655,7 @@ void SignalingNetwork::on_trunk_state(std::size_t trunk) {
       }
     }, sim::Layer::kSig);
   } else {
-    bed_.sim().after(config_.protection.revert_delay, [this, trunk, epoch] {
+    bed_.sim().after(kRevertDelay, [this, trunk, epoch] {
       if (trunks_[trunk].epoch == epoch && !trunks_[trunk].down) {
         revert_sweep();
       }
@@ -844,11 +857,11 @@ void SignalingNetwork::audit_tick() {
     if (!call.routed) {
       // Half-open far beyond any handshake latency: a lost message the
       // endpoint timers failed to repair (or recovery is off there).
-      if (++call.strikes >= config_.audit_strikes) to_reclaim.push_back(id);
+      if (++call.strikes >= kAuditStrikes) to_reclaim.push_back(id);
       continue;
     }
     if (call.enquiries_outstanding > 0 &&
-        ++call.strikes >= config_.audit_strikes) {
+        ++call.strikes >= kAuditStrikes) {
       // Both legs have ignored enquiries for several rounds.
       to_reclaim.push_back(id);
       continue;
@@ -900,7 +913,7 @@ void SignalingNetwork::reclaim_call(std::uint32_t call_id, Cause cause) {
 std::vector<SignalingNetwork::RouteKey> SignalingNetwork::stale_routes()
     const {
   // Ownership is collected once per sweep. Signalling relays (endpoint
-  // and trunk hops alike) sit below first_data_vci and are never stale.
+  // and trunk hops alike) sit below kFirstDataVci and are never stale.
   std::vector<RouteKey> owned;
   for (const auto& [id, call] : calls_) {
     owned.insert(owned.end(), call.circuit.routes.begin(),
@@ -913,7 +926,7 @@ std::vector<SignalingNetwork::RouteKey> SignalingNetwork::stale_routes()
   for (std::size_t si = 0; si < switches_.size(); ++si) {
     switches_[si]->for_each_route(
         [&](std::size_t in_port, atm::VcId vc, std::size_t, atm::VcId) {
-          if (vc.vpi != 0 || vc.vci < config_.first_data_vci) return;
+          if (vc.vpi != 0 || vc.vci < kFirstDataVci) return;
           const RouteKey rk{si, in_port, vc};
           if (!std::binary_search(owned.begin(), owned.end(), rk)) {
             stale.push_back(rk);
@@ -961,7 +974,7 @@ void SignalingNetwork::crash_restart() {
 void SignalingNetwork::send_restart(std::size_t ep) {
   RestartState& rs = restarts_[ep];
   if (!rs.pending) return;
-  if (rs.attempts > config_.t316_retries) {
+  if (rs.attempts > kT316Retries) {
     // Endpoint unreachable; give up (the audit keeps the fabric clean).
     rs.pending = false;
     return;
@@ -974,7 +987,7 @@ void SignalingNetwork::send_restart(std::size_t ep) {
   m.type = MessageType::kRestart;
   m.call_id = restart_instance_;
   send_to_endpoint(ep, m);
-  rs.timer = bed_.sim().after(config_.t316, [this, ep] {
+  rs.timer = bed_.sim().after(kT316, [this, ep] {
     auto it = restarts_.find(ep);
     if (it == restarts_.end() || !it->second.pending) return;
     trace(sim::TraceEventId::kSigTimerExpiry, 316, 0, ep);
@@ -1053,7 +1066,7 @@ void SignalingNetwork::audit_invariants(core::InvariantAuditor& auditor) {
     switches_[si]->for_each_route(
         [this, &data_routes](std::size_t, atm::VcId vc, std::size_t,
                              atm::VcId) {
-          if (vc.vpi != 0 || vc.vci < config_.first_data_vci) return;
+          if (vc.vpi != 0 || vc.vci < kFirstDataVci) return;
           ++data_routes;
         });
   }

@@ -28,7 +28,7 @@
 //   * a periodic *status audit* that reconciles its call table against
 //     endpoint state (STATUS ENQUIRY / STATUS) and against every
 //     switch's route table, reclaiming half-open calls, stranded VCIs
-//     and stale routes after `audit_strikes` suspect rounds;
+//     and stale routes after `kAuditStrikes` suspect rounds;
 //   * RESTART/RESTART-ACK with a T316 retransmit timer: after
 //     crash_restart() wipes the agent's volatile state, endpoints are
 //     told to clear everything and the whole fabric is swept of orphan
@@ -41,7 +41,7 @@
 //     untouched so neither endpoint renegotiates. Signalling relay
 //     paths are rerouted the same way (before the calls, so control
 //     reachability recovers first). When the failed trunk returns, and
-//     stays up for `protection.revert_delay`, protected calls revert to
+//     stays up for `kRevertDelay`, protected calls revert to
 //     their primary path. Endpoints also *report* defects: a NIC-level
 //     AIS/loss-of-continuity alarm on a data VC arrives as STATUS with
 //     cause 27 (destination out of order) and triggers the same sweep,
@@ -57,7 +57,7 @@
 //   endpoint k -> agent:   (ep port, 0/5) -> ... -> (agent, 0/64+k)
 //   agent -> endpoint k:   (agent, 0/32+k) -> ... -> (ep port, 0/5)
 // with 0/128+k on any intermediate trunk hop. All of these sit below
-// `first_data_vci`, so the data-route sweeps never touch them.
+// `kFirstDataVci`, so the data-route sweeps never touch them.
 //
 // To the agent a relay and a call are one thing, a Circuit: a duplex
 // chain of per-hop VC translations over a trunk path, with its primary
@@ -81,25 +81,20 @@
 
 namespace hni::sig {
 
+/// First data VCI; data VCIs are allocated upward per port/trunk.
+inline constexpr std::uint16_t kFirstDataVci = 1000;
+/// Consecutive suspect audit rounds before a call is reclaimed.
+inline constexpr unsigned kAuditStrikes = 2;
+/// How long a recovered trunk must stay up before protected calls
+/// revert to their primary path (wait-to-restore).
+inline constexpr sim::Time kRevertDelay = sim::milliseconds(2);
+
 struct SignalingConfig {
-  std::uint16_t first_data_vci = 1000;  // allocated upward per port/trunk
   std::size_t max_vcs_per_port = 256;
-  /// CDVT granted by installed policers, as a multiple of the cell slot.
-  double police_cdvt_slots = 10.0;
-  /// Burst depths (in cells) of the trTCM meter installed for VBR calls
-  /// (SETUPs carrying an SCR alongside the PCR): committed and peak
-  /// bucket sizes respectively.
-  std::size_t meter_cbs_cells = 10;
-  std::size_t meter_pbs_cells = 10;
   /// Timer/retransmission policy handed to every attached endpoint.
   CallControlConfig endpoint{};
   /// Status-audit cadence; 0 disables the audit (no reclamation).
   sim::Time audit_period = sim::milliseconds(5);
-  /// Consecutive suspect audit rounds before a call is reclaimed.
-  unsigned audit_strikes = 2;
-  /// RESTART retransmit interval and retry bound (T316).
-  sim::Time t316 = sim::milliseconds(1);
-  unsigned t316_retries = 16;
   /// Connection admission control: fraction of each output port's line
   /// rate the agent will commit to contracted (PCR > 0) calls, applied
   /// to *every* output port along the call's path (trunk hops
@@ -113,9 +108,6 @@ struct SignalingConfig {
     bool enabled = false;
     /// Wait after a trunk-down edge before rerouting (flap damping).
     sim::Time holdoff = sim::microseconds(50);
-    /// How long a recovered trunk must stay up before protected calls
-    /// revert to their primary path (wait-to-restore).
-    sim::Time revert_delay = sim::milliseconds(2);
   } protection{};
   /// Seed stream for the message taps (fault injection).
   std::uint64_t fault_seed = 0x51C;
@@ -148,8 +140,6 @@ class SignalingNetwork {
   std::pair<net::Link*, net::Link*> trunk_links(std::size_t id) {
     return {trunks_.at(id).ab, trunks_.at(id).ba};
   }
-  bool trunk_down(std::size_t id) const { return trunks_.at(id).down; }
-  std::size_t trunk_count() const { return trunks_.size(); }
 
   /// Wires `station` to port `port` of `switches[sw]` (duplex),
   /// provisions its signalling relay to the agent, and registers it
@@ -331,10 +321,8 @@ class SignalingNetwork {
     return (sw << 8) | port;
   }
   VciPool new_pool() const {
-    return {config_.first_data_vci,
-            config_.first_data_vci + config_.max_vcs_per_port,
-            config_.first_data_vci,
-            {}};
+    return {kFirstDataVci, kFirstDataVci + config_.max_vcs_per_port,
+            kFirstDataVci, {}};
   }
   atm::VcId agent_tx_vc(std::size_t ep) const {
     return {0, static_cast<std::uint16_t>(32 + ep)};

@@ -37,11 +37,7 @@ void FaultInjector::fire(const Point& point, FaultPhase phase, Time duration,
   ev.magnitude = magnitude;
   ev.id = id;
   log_.push_back(ev);
-  if (phase == FaultPhase::kBegin) {
-    begun_.add();
-  } else {
-    ended_.add();
-  }
+  if (phase == FaultPhase::kBegin) begun_.add();
   point.handler(ev);
 }
 

@@ -78,7 +78,6 @@ class FaultInjector {
   Rng& rng() { return rng_; }
 
   std::uint64_t faults_begun() const { return begun_.value(); }
-  std::uint64_t faults_ended() const { return ended_.value(); }
 
   /// Every fired transition, in firing order.
   const std::vector<FaultEvent>& log() const { return log_; }
@@ -101,7 +100,6 @@ class FaultInjector {
   std::vector<Point> points_;  // insertion order: chaos draws index into it
   std::vector<FaultEvent> log_;
   Counter begun_;
-  Counter ended_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -34,12 +34,6 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(gen_);
   }
 
-  /// Geometric number of failures before first success, success
-  /// probability `p` in (0, 1].
-  std::uint64_t geometric(double p) {
-    return std::geometric_distribution<std::uint64_t>(p)(gen_);
-  }
-
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(gen_);

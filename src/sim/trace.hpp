@@ -132,7 +132,6 @@ class Tracer {
     }
     return *ring_;
   }
-  bool has_ring() const { return ring_ != nullptr; }
 
   /// Convenience sink that appends events to `out`.
   void collect_into(std::vector<TraceEvent>& out) {

@@ -40,7 +40,7 @@ TEST(LineRate, Sts12cIsFourTimesSts3c) {
 }
 
 TEST(LineRate, RawRateHasNoOverhead) {
-  const LineRate r = raw_rate(424e6, "test");
+  const LineRate r = raw_rate(424e6);
   EXPECT_DOUBLE_EQ(r.line_bps, r.payload_bps);
   EXPECT_EQ(r.cell_slot(), sim::microseconds(1));
 }

@@ -222,7 +222,7 @@ TEST(Alarms, LinkDownEmitsAisDownstreamAndRdiUpstream) {
   // Repair the link: AIS stops, the RDI hold expires, the VC resumes
   // and traffic flows again.
   p.ab->set_down(false);
-  p.bed.run_for(sim::milliseconds(10));  // > rdi_hold
+  p.bed.run_for(sim::milliseconds(10));  // > nic::kRdiHold
   EXPECT_FALSE(p.b->nic().los());
   EXPECT_FALSE(p.a->nic().tx().vc_paused(kVc));
 

@@ -1,4 +1,4 @@
-// trTCM / srTCM meter tests.
+// trTCM meter tests.
 //
 // The centerpiece is a differential test: atm::TrTcm against a scalar
 // reference written independently from RFC 2698's text (two buckets,
@@ -171,30 +171,6 @@ TEST(TrTcm, RedDoesNotDebitPeakBucket) {
   // 100 us earns exactly one peak token (PIR 10k) and a tenth of a
   // committed token — so the cell passes as yellow, not red.
   EXPECT_EQ(meter.color(sim::microseconds(100)), MeterColor::kYellow);
-}
-
-TEST(SrTcm, ExcessBucketFillsOnlyFromCommittedSpill) {
-  atm::SrTcmConfig cfg;
-  cfg.cir_cells_per_second = 1'000.0;
-  cfg.cbs_cells = 2.0;
-  cfg.ebs_cells = 3.0;
-  atm::SrTcm meter(cfg);
-  // Buckets start full: 2 green, 3 yellow, then red.
-  EXPECT_EQ(meter.color(0), MeterColor::kGreen);
-  EXPECT_EQ(meter.color(0), MeterColor::kGreen);
-  EXPECT_EQ(meter.color(0), MeterColor::kYellow);
-  EXPECT_EQ(meter.color(0), MeterColor::kYellow);
-  EXPECT_EQ(meter.color(0), MeterColor::kYellow);
-  EXPECT_EQ(meter.color(0), MeterColor::kRed);
-  // 1 ms earns one token. It lands in the committed bucket (not full),
-  // so the excess bucket stays empty: green, then red again.
-  EXPECT_EQ(meter.color(sim::milliseconds(1)), MeterColor::kGreen);
-  EXPECT_DOUBLE_EQ(meter.excess_tokens(), 0.0);
-  EXPECT_EQ(meter.color(sim::milliseconds(1)), MeterColor::kRed);
-  // 4 ms earns four tokens: two fill the committed bucket, the spill
-  // lands in the excess bucket per RFC 2697.
-  EXPECT_EQ(meter.color(sim::milliseconds(5)), MeterColor::kGreen);
-  EXPECT_NEAR(meter.excess_tokens(), 2.0, 1e-6);
 }
 
 }  // namespace

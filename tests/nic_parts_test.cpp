@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "atm/cell.hpp"
 #include "atm/fifo.hpp"
@@ -56,17 +58,47 @@ TEST(CellFifo, SpaceWaitersReleasedOnePerPop) {
   sim::Simulator sim;
   CellFifo<int> f(sim, 1);
   f.push(1);
-  int released = 0;
-  f.wait_space([&] { ++released; });
-  f.wait_space([&] { ++released; });
-  EXPECT_EQ(released, 0);
+  std::vector<int> released;
+  int next_id = 0;
+  auto wait = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const int id = next_id++;
+      f.wait_space([&released, id] { released.push_back(id); });
+    }
+  };
+  // One pop frees the slot and releases one waiter; the push refills it.
+  auto pop_and_refill = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      f.pop();
+      f.push(1);
+    }
+  };
+  wait(2);
+  EXPECT_TRUE(released.empty());
   f.pop();
-  EXPECT_EQ(released, 1);
+  EXPECT_EQ(released.size(), 1u);
   f.pop();  // empty pop: no release
-  EXPECT_EQ(released, 1);
+  EXPECT_EQ(released.size(), 1u);
   f.push(2);
   f.pop();
-  EXPECT_EQ(released, 2);
+  EXPECT_EQ(released.size(), 2u);
+
+  // More waiters than the ring first holds, with pops in between, so
+  // the waiter ring wraps before it grows and wraps again after.
+  f.push(1);
+  wait(6);
+  pop_and_refill(3);
+  wait(7);
+  pop_and_refill(5);
+  wait(9);
+  pop_and_refill(4);
+  wait(3);
+  pop_and_refill(next_id - static_cast<int>(released.size()));
+  std::vector<int> expected(static_cast<std::size_t>(next_id));
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(released, expected);
+  f.pop();  // no waiter left
+  EXPECT_EQ(released.size(), expected.size());
 }
 
 TEST(CellFifo, OccupancyStats) {
@@ -133,11 +165,9 @@ TEST(BoardMemory, PeakTracked) {
 }
 
 TEST(BoardMemoryConfig, ByteArithmetic) {
-  BoardMemoryConfig c{.containers = 10,
-                      .cells_per_container = 32,
-                      .container_overhead_bytes = 4};
-  EXPECT_EQ(c.container_bytes(), 32 * 48 + 4u);
-  EXPECT_EQ(c.total_bytes(), 10 * (32 * 48 + 4u));
+  BoardMemoryConfig c{.containers = 10, .cells_per_container = 32};
+  EXPECT_EQ(c.container_bytes(), 32 * 48 + kContainerOverheadBytes);
+  EXPECT_EQ(c.total_bytes(), 10 * (32 * 48 + kContainerOverheadBytes));
 }
 
 TEST(VcTable, ProbeCountStaysBoundedAsTableGrows) {

@@ -129,35 +129,13 @@ TEST(TxPath, BackpressureNeverDropsCells) {
 
 TEST(TxPath, WholePduModeUsesOneDmaTransfer) {
   Fixture f;
-  TxPathConfig cfg;
-  cfg.dma_mode = TxDmaMode::kWholePdu;
-  auto tx = f.make(cfg);
+  auto tx = f.make();
   tx->framer().set_sink([](const atm::Cell&) {});
   tx->start();
   ASSERT_TRUE(
       tx->post(descriptor_for(f.mem, aal::make_pattern(4800, 7), {0, 1})));
   f.sim.run_until(sim::milliseconds(2));
   EXPECT_EQ(f.bus.transfers(), 1u);
-  EXPECT_EQ(f.bus.bytes_moved(), 4800u);
-}
-
-TEST(TxPath, PerCellModeUsesOneDmaPerPayloadCell) {
-  Fixture f;
-  TxPathConfig cfg;
-  cfg.dma_mode = TxDmaMode::kPerCell;
-  auto tx = f.make(cfg);
-  std::size_t on_wire = 0;
-  tx->framer().set_sink([&](const atm::Cell&) { ++on_wire; });
-  tx->start();
-  const std::size_t n = 4800;  // 101 cells under AAL5 (4808/48 -> 101)
-  ASSERT_TRUE(
-      tx->post(descriptor_for(f.mem, aal::make_pattern(n, 8), {0, 1})));
-  f.sim.run_until(sim::milliseconds(5));
-  EXPECT_EQ(on_wire, aal::aal5_cell_count(n));
-  // 100 cells carry payload windows of 48B; the 101st covers the tail
-  // of the SDU (4800 = 100*48 exactly, so the last cell is pad+trailer
-  // only and needs no DMA).
-  EXPECT_EQ(f.bus.transfers(), 100u);
   EXPECT_EQ(f.bus.bytes_moved(), 4800u);
 }
 

@@ -155,7 +155,7 @@ TEST(Rdi, CloseVcClearsStandingPause) {
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 
   // The stale hold timer that fires later must not resurrect the pause.
-  bed.run_for(a.nic().config().rdi_hold + sim::milliseconds(3));
+  bed.run_for(nic::kRdiHold + sim::milliseconds(3));
   EXPECT_FALSE(a.nic().tx().vc_paused(kVc));
 }
 
@@ -206,7 +206,7 @@ TEST(ContinuityCheck, ReopenedOrRestartedVcRunsOneHeartbeat) {
   bed.connect(a, b, {}, sim::microseconds(50));
   a.nic().open_vc(kVc, aal::AalType::kAal5);
   b.nic().open_vc(kVc, aal::AalType::kAal5);
-  ASSERT_EQ(a.nic().config().cc.period, sim::microseconds(200));
+  ASSERT_EQ(nic::kCcPeriod, sim::microseconds(200));
 
   // Windows of 2 ms placed off every chain's tick phase, so each live
   // chain contributes exactly ten heartbeats.

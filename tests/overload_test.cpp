@@ -180,7 +180,7 @@ TEST(Congestion, ClosedLoopThrottlesThenRecovers) {
   auto& sw = bed.add_switch({.ports = 2,
                              .queue_cells = 256,
                              .clp_threshold = 256,
-                             .port_rate = atm::raw_rate(62e6, "slow"),
+                             .port_rate = atm::raw_rate(62e6),
                              .efci_threshold = 16});
   core::StationConfig cfg;
   cfg.nic.congestion.enabled = true;
@@ -244,7 +244,7 @@ TEST(Congestion, ContractedVcIsNeverThrottled) {
   auto& sw = bed.add_switch({.ports = 2,
                              .queue_cells = 64,
                              .clp_threshold = 64,
-                             .port_rate = atm::raw_rate(62e6, "slow"),
+                             .port_rate = atm::raw_rate(62e6),
                              .efci_threshold = 4});
   core::StationConfig cfg;
   cfg.nic.congestion.enabled = true;

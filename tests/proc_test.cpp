@@ -18,7 +18,7 @@ namespace hni::proc {
 namespace {
 
 EngineConfig cfg(double hz = 25e6, double cpi = 1.0) {
-  return EngineConfig{"test-engine", hz, cpi};
+  return EngineConfig{hz, cpi};
 }
 
 TEST(Engine, CostArithmetic) {

@@ -80,7 +80,6 @@ TEST(ContinuityCheck, HeartbeatsFlowAndNoFalseAlarm) {
 
 TEST(ContinuityCheck, DeclareAndClearThresholds) {
   auto p = make_cc_pair(/*rx_ais=*/false);
-  const auto& cc = p->a->nic().config().cc;
 
   std::vector<std::pair<nic::Nic::Defect, bool>> edges;
   p->b->nic().add_defect_observer(
@@ -95,20 +94,21 @@ TEST(ContinuityCheck, DeclareAndClearThresholds) {
   // Cut the a->b direction only: silence at b, but nothing at b's PHY
   // (its receive link "carrier" drops, yet AIS insertion is disabled).
   p->ab->set_down(true);
-  // LOC must NOT be declared before loss_multiplier periods of silence…
+  // LOC must NOT be declared before kCcLossMultiplier periods of
+  // silence…
   p->bed.run_for(static_cast<sim::Time>(
-      static_cast<double>(cc.period) * (cc.loss_multiplier - 1.0)));
+      static_cast<double>(nic::kCcPeriod) * (nic::kCcLossMultiplier - 1.0)));
   EXPECT_EQ(p->b->nic().cc_loss_declared(), 0u);
   // …and MUST be declared within a couple of periods after the
   // threshold.
-  p->bed.run_for(cc.period * 3);
+  p->bed.run_for(nic::kCcPeriod * 3);
   EXPECT_EQ(p->b->nic().cc_loss_declared(), 1u);
   EXPECT_EQ(p->b->nic().cc_loss_standing(), 1u);
   EXPECT_TRUE(p->b->nic().cc_loss(kVc));
 
   // Repair: the first heartbeat through clears the alarm.
   p->ab->set_down(false);
-  p->bed.run_for(cc.period * 3);
+  p->bed.run_for(nic::kCcPeriod * 3);
   EXPECT_EQ(p->b->nic().cc_loss_cleared(), 1u);
   EXPECT_EQ(p->b->nic().cc_loss_standing(), 0u);
   EXPECT_FALSE(p->b->nic().cc_loss(kVc));
@@ -166,8 +166,7 @@ TEST(ContinuityCheck, AisSuppressesLocAndRdiReachesSource) {
 
   // Repair; AIS stops, the hold expires, the source resumes.
   p->ab->set_down(false);
-  p->bed.run_for(p->a->nic().config().rdi_hold +
-                 p->b->nic().config().cc.ais_hold + sim::milliseconds(2));
+  p->bed.run_for(nic::kRdiHold + nic::kAisHold + sim::milliseconds(2));
   EXPECT_FALSE(p->a->nic().tx().vc_paused(kVc));
   EXPECT_EQ(p->b->nic().cc_loss_standing(), 0u);
 
@@ -358,7 +357,7 @@ TEST(Fabric, ProtectionSwitchesCallToStandbyPath) {
 
   // Data flows end-to-end again, through sw2 — with the *same*
   // endpoint-facing VCIs (neither endpoint renegotiated anything).
-  f->bed.run_for(f->alice->nic().config().rdi_hold);  // drain a held pause
+  f->bed.run_for(nic::kRdiHold);  // drain a held pause
   const std::uint64_t sw2_before = f->sw2->cells_forwarded();
   for (int i = 0; i < 5; ++i) {
     f->alice->host().send(call.alice_vc, AalType::kAal5,
@@ -385,11 +384,11 @@ TEST(Fabric, RecoveredTrunkRevertsAfterWaitToRestore) {
 
   // Repair. Nothing reverts before the wait-to-restore window…
   fail_trunk(*f, f->t0, false);
-  f->bed.run_for(cfg.protection.revert_delay / 2);
+  f->bed.run_for(sig::kRevertDelay / 2);
   EXPECT_EQ(f->net->reverts(), 0u);
   EXPECT_EQ(f->net->calls_on_protection(), 1u);
   // …and the call (plus bob's signalling relay) reverts after it.
-  f->bed.run_for(cfg.protection.revert_delay);
+  f->bed.run_for(sig::kRevertDelay);
   EXPECT_EQ(f->net->reverts(), 1u);
   EXPECT_EQ(f->net->calls_on_protection(), 0u);
 
@@ -445,7 +444,7 @@ TEST(Fabric, CacRefusesStandbyPathWithoutHeadroom) {
 
   // When the working trunk returns, the stranded call flows again.
   fail_trunk(*f, f->t0, false);
-  f->bed.run_for(f->alice->nic().config().rdi_hold + sim::milliseconds(2));
+  f->bed.run_for(nic::kRdiHold + sim::milliseconds(2));
   std::size_t got = 0;
   f->bob->host().set_rx_handler(
       [&](aal::Bytes, const host::RxInfo&) { ++got; });
@@ -531,7 +530,7 @@ TEST(Fabric, SignallingRelayRevertsWithTheCall) {
   fail_trunk(*f, f->t0, true);
   f->bed.run_for(sim::milliseconds(1));
   fail_trunk(*f, f->t0, false);
-  f->bed.run_for(cfg.protection.revert_delay + sim::milliseconds(1));
+  f->bed.run_for(sig::kRevertDelay + sim::milliseconds(1));
 
   // Bob's relay left t0 with the call and came back with it (alice's
   // relay lives on the agent's switch and never moves), so neither the
@@ -566,7 +565,7 @@ TEST(Fabric, AuditSweepsOnlyDebrisBesideLiveCalls) {
   // calls use: next to their edge legs and their t0 hops, on the idle
   // t1 port with a VCI a live hop uses on t0, and on sw2 with a port
   // and VCI a live call owns on sw0 and sw1.
-  const std::uint16_t first = cfg.first_data_vci;
+  const std::uint16_t first = sig::kFirstDataVci;
   const VcId next{0, static_cast<std::uint16_t>(first + 2)};
   f->sw0->add_route(0, {0, static_cast<std::uint16_t>(first + 7)}, 1, next);
   f->sw0->add_route(2, {0, first}, 0, {0, first});

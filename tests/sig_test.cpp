@@ -133,7 +133,9 @@ TEST(SigMessage, DecodeSurvivesFuzzedInput) {
         byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       }
       const auto r = sig::decode_checked(blob);
-      if (!r.message.has_value()) EXPECT_NE(r.error, Cause::kNormal);
+      if (!r.message.has_value()) {
+        EXPECT_NE(r.error, Cause::kNormal);
+      }
     }
   }
   // Single-byte corruptions of valid frames of every type: either the
@@ -149,7 +151,9 @@ TEST(SigMessage, DecodeSurvivesFuzzedInput) {
         aal::Bytes mut = wire;
         mut[i] ^= flip;
         const auto r = sig::decode_checked(mut);
-        if (!r.message.has_value()) EXPECT_NE(r.error, Cause::kNormal);
+        if (!r.message.has_value()) {
+          EXPECT_NE(r.error, Cause::kNormal);
+        }
       }
     }
   }

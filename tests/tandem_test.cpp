@@ -157,7 +157,7 @@ TEST(Tandem, SignalingChurnConservesResources) {
                   [&](const sig::CallControl::CallInfo& i) { vc = i.vc; });
   bed.run_for(sim::milliseconds(10));
   ASSERT_TRUE(vc.has_value());
-  EXPECT_LT(vc->vci, cfg.first_data_vci + cfg.max_vcs_per_port);
+  EXPECT_LT(vc->vci, sig::kFirstDataVci + cfg.max_vcs_per_port);
 }
 
 }  // namespace

@@ -43,6 +43,10 @@ namespace {
 std::uint64_t g_allocations = 0;
 }  // namespace
 
+// GCC 12 sees these hooks' free() inlined against a new-expression and
+// warns of a mismatch; the replaced operator new allocates with malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size ? size : 1)) return p;
@@ -57,6 +61,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hni {
 namespace {

@@ -357,7 +357,7 @@ TEST(Congestion, ConvergesAtFourTimesOverloadWithSaturatedQueues) {
   auto& sw = bed.add_switch({.ports = 2,
                              .queue_cells = 64,
                              .clp_threshold = 64,
-                             .port_rate = atm::raw_rate(38e6, "slow"),
+                             .port_rate = atm::raw_rate(38e6),
                              .efci_threshold = 16});
   core::StationConfig cfg;
   cfg.nic.congestion.enabled = true;
@@ -420,7 +420,6 @@ TEST(Erica, StampsBackwardRmWithGrantNearFairShare) {
   net::SwitchConfig cfg{.ports = 3, .queue_cells = 256,
                         .clp_threshold = 256};
   cfg.abr.enabled = true;
-  cfg.abr.interval = sim::microseconds(100);
   sim::Simulator sim;
   net::Switch sw(sim, cfg);
   net::Link out0{sim, 0}, out2{sim, 0};
@@ -439,7 +438,8 @@ TEST(Erica, StampsBackwardRmWithGrantNearFairShare) {
     sw.receive(0, wire(raw_cell(kVcA)));
     sw.receive(1, wire(raw_cell(kVcB)));
   }
-  sim.run_until(sim::microseconds(150));
+  const sim::Time window = net::kAbrInterval;
+  sim.run_until(window + sim::microseconds(50));
   // This arrival closes the measurement window: the snapshot becomes
   // valid and stamping switches on.
   sw.receive(0, wire(raw_cell(kVcA)));
@@ -447,7 +447,7 @@ TEST(Erica, StampsBackwardRmWithGrantNearFairShare) {
   // A backward RM born unlimited gets tightened to this switch's grant.
   sw.receive(2, wire(rm_cell(kVcA)));
   EXPECT_EQ(sw.rm_cells_er_stamped(), 1u);
-  sim.run_until(sim::microseconds(200));
+  sim.run_until(window + sim::microseconds(100));
   ASSERT_EQ(back.size(), 1u);
   const std::uint32_t er = atm::rm_explicit_rate(back[0].bytes.data() + 5);
   ASSERT_NE(er, atm::kRmErUnlimited);
@@ -460,7 +460,7 @@ TEST(Erica, StampsBackwardRmWithGrantNearFairShare) {
   // An RM already carrying a tighter ER than the grant is left alone.
   sw.receive(2, wire(rm_cell(kVcA, /*er=*/50'000)));
   EXPECT_EQ(sw.rm_cells_er_stamped(), 1u);
-  sim.run_until(sim::microseconds(250));
+  sim.run_until(window + sim::microseconds(150));
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(atm::rm_explicit_rate(back[1].bytes.data() + 5), 50'000u);
 
@@ -477,7 +477,7 @@ TEST(Erica, ClosedLoopConvergesAndShedsShaperOnRecovery) {
   net::SwitchConfig scfg{.ports = 2,
                          .queue_cells = 256,
                          .clp_threshold = 256,
-                         .port_rate = atm::raw_rate(62e6, "slow"),
+                         .port_rate = atm::raw_rate(62e6),
                          .efci_threshold = 16};
   scfg.abr.enabled = true;
   auto& sw = bed.add_switch(scfg);
@@ -546,7 +546,7 @@ TEST(Congestion, ReopenedVcRecoversOncePerPeriod) {
   bed.connect(a, b);
   a.nic().open_vc(kVcA, aal::AalType::kAal5);
   b.nic().open_vc(kVcA, aal::AalType::kAal5);
-  const sim::Time period = a.nic().config().congestion.recovery_period;
+  const sim::Time period = nic::kRecoveryPeriod;
   ASSERT_EQ(period, sim::milliseconds(1));
   const atm::Cell ci =
       rm_cell(kVcA, atm::kRmErUnlimited,
